@@ -248,11 +248,11 @@ class SpNuca : public L2Org
         state->remaining = cfg_.numCores - 1;
         state->pendingResponses = cfg_.numCores - 1;
         state->lastResponse = t;
+        const std::uint32_t pset = map_.privateSet(tx.addr);
         for (CoreId c = 0; c < cfg_.numCores; ++c) {
             if (c == tx.core)
                 continue;
             const BankId b = map_.privateBank(c, tx.addr);
-            const std::uint32_t pset = map_.privateSet(tx.addr);
             proto().probe(
                 tx, b, pset, remoteMatch(), home_node, t,
                 [this, &tx, b, pset, home_node, state](const ProbeResult &r,

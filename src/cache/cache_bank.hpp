@@ -44,8 +44,10 @@ class CacheBank
     CacheBank(const SystemConfig &cfg, BankId id,
               std::shared_ptr<ReplacementPolicy> policy,
               bool with_monitor = false)
-        : cfg_(cfg), id_(id), policy_(std::move(policy)),
-          sets_(cfg.l2SetsPerBank(), CacheSet(cfg.l2Ways))
+        : sets_(cfg.l2SetsPerBank(), CacheSet(cfg.l2Ways)),
+          tagLatency_(cfg.l2TagLatency), ways_(cfg.l2Ways),
+          dataLatency_(cfg.l2Latency - cfg.l2TagLatency),
+          policy_(std::move(policy)), id_(id)
     {
         ESP_ASSERT(policy_ != nullptr, "bank needs a replacement policy");
         wantsDemand_ = policy_->wantsDemandStream();
@@ -75,7 +77,7 @@ class CacheBank
     Cycle
     tagProbe(Cycle arrival)
     {
-        return occupy(arrival, cfg_.l2TagLatency);
+        return occupy(arrival, tagLatency_);
     }
 
     /**
@@ -88,24 +90,17 @@ class CacheBank
     Cycle
     dataAccess(Cycle arrival)
     {
-        return occupy(arrival, cfg_.l2Latency - cfg_.l2TagLatency);
+        return occupy(arrival, dataLatency_);
     }
 
     // -- Content -------------------------------------------------------
 
-    /** Hint: pull set `s`'s object line into cache (hides the pointer
-     * chase of a find() scheduled to run shortly). */
+    /** Hint: pull the lines a find() in set `s` reads into cache
+     * ahead of a probe scheduled to run shortly. */
     void
     prefetchSet(std::uint32_t s) const
     {
-        __builtin_prefetch(&sets_[s]);
-    }
-
-    /** Hint: pull set `s`'s tag/metadata arrays into cache. */
-    void
-    prefetchTags(std::uint32_t s) const
-    {
-        sets_[s].prefetchTags();
+        sets_[s].prefetchProbe(ways_);
     }
 
     /** Find `addr` in set `s` under the class/tag match `mask`. */
@@ -376,20 +371,23 @@ class CacheBank
         return start + lat;
     }
 
-    SystemConfig cfg_;
-    BankId id_;
-    std::shared_ptr<ReplacementPolicy> policy_;
+    // Probe-path state leads the object: tagProbe(), prefetchSet() and
+    // find() read the first cache line, recordDemand() the second.
     std::vector<CacheSet> sets_;
-    std::unique_ptr<HitRateMonitor> monitor_;
-
-    bool wantsDemand_ = false;
-    std::uint32_t disabledWays_ = 0;
     Cycle freeAt_ = 0;
     Cycle waitCycles_ = 0;
     std::uint64_t accesses_ = 0;
+    Cycle tagLatency_;
+    std::uint32_t ways_;
+    bool wantsDemand_ = false;
+    Cycle dataLatency_;
     std::uint64_t demandAccesses_ = 0;
     std::uint64_t demandHits_ = 0;
+    std::unique_ptr<HitRateMonitor> monitor_;
+    std::shared_ptr<ReplacementPolicy> policy_;
     std::uint64_t evictions_ = 0;
+    std::uint32_t disabledWays_ = 0;
+    BankId id_;
 };
 
 } // namespace espnuca

@@ -184,14 +184,22 @@ class CacheSet
     // -- Search --------------------------------------------------------
 
     /**
-     * Hint the hardware to pull the tag and metadata arrays into cache
-     * ahead of a find() known to follow shortly. Pure performance hint.
+     * Hint the hardware to pull in exactly the lines a find() reads —
+     * the occupancy masks and the first `ways` tags, which lead the
+     * object — ahead of a probe known to follow shortly. `ways` comes
+     * from the caller so the hint never waits on this set's own line.
+     * The metadata array is read only after a hit and is not fetched.
      */
     void
-    prefetchTags() const
+    prefetchProbe(std::uint32_t ways) const
     {
-        __builtin_prefetch(tag_.data());
-        __builtin_prefetch(meta_.data());
+        constexpr std::uintptr_t kLine = 64;
+        const auto end =
+            reinterpret_cast<std::uintptr_t>(tag_.data() + ways);
+        for (std::uintptr_t p = reinterpret_cast<std::uintptr_t>(this) &
+                                ~(kLine - 1);
+             p < end; p += kLine)
+            __builtin_prefetch(reinterpret_cast<const void *>(p));
     }
 
     /** Find a valid way holding `addr` whose class is in `mask`. */
@@ -553,14 +561,17 @@ class CacheSet
         victimWays_ = ways;
     }
 
-    // Hot arrays: packed tags (kInvalidAddr when the way is invalid so a
-    // probe needs no separate valid check), occupancy bitmasks, stamps.
-    // Inline so the whole set is one contiguous object (see class doc).
+    // Hot arrays: occupancy bitmasks, then packed tags (kInvalidAddr
+    // when the way is invalid so a probe needs no separate valid
+    // check), then stamps. A find() reads the masks and tags only, and
+    // they lead the object so prefetchProbe() covers them in the fewest
+    // lines. Inline so the whole set is one contiguous object (see
+    // class doc).
+    std::uint64_t validMask_ = 0;
+    std::array<std::uint64_t, 4> classWays_{}; //!< valid ways per class
     std::array<Addr, kMaxWays> tag_;
     std::uint32_t ways_ = 0;
-    std::uint64_t validMask_ = 0;
     std::uint64_t wayMask_ = 0;
-    std::array<std::uint64_t, 4> classWays_{}; //!< valid ways per class
     std::uint64_t disabledMask_ = 0; //!< fault-disabled ways (bit per way)
     std::array<std::int64_t, kMaxWays> stamp_{}; //!< LRU age, larger = newer
     std::int64_t hi_ = 0;             //!< last MRU stamp handed out

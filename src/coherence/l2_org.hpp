@@ -245,15 +245,14 @@ Protocol::probe(Transaction &tx, BankId bank, std::uint32_t set_index,
         tracer_->setCurrentTx(tx.id);
     CacheBank &b = org_.bank(bank);
     // The probe event fires after at least one event-queue hop; start
-    // pulling the set's object line (and, once that lands, its tag and
-    // metadata arrays) toward the cache now so the find() below doesn't
-    // eat the DRAM misses on the critical path.
+    // pulling the lines find() reads (the set's occupancy masks and
+    // tags) toward the cache now so the find() below doesn't eat the
+    // DRAM misses on the critical path.
     b.prefetchSet(set_index);
     const NodeId node = topo_.bankNode(bank);
     const Cycle arrival =
         mesh_.deliveryTime(from_node, node, cfg_.ctrlMsgBytes, t);
     const Cycle tag_done = b.tagProbe(arrival);
-    b.prefetchTags(set_index);
     // The tag match is evaluated when the probe event fires, so a block
     // migrated or displaced in the meantime is genuinely missed (the
     // "false misses due to migrating blocks" of token coherence).

@@ -21,6 +21,8 @@ namespace espnuca {
  *  each). validate() enforces them with a named-knob diagnosis. */
 inline constexpr std::uint32_t kMaxCores = 64;
 inline constexpr std::uint32_t kMaxL2Banks = 256;
+/** Router cap: the mesh precomputes one X-Y route per router pair. */
+inline constexpr std::uint32_t kMaxMeshNodes = 256;
 
 /**
  * CMP system parameters. Defaults reproduce Table 2 of the paper:
@@ -201,6 +203,10 @@ struct SystemConfig
                    std::to_string(meshRows) +
                    " grid has fewer routers than numCores = " +
                    std::to_string(numCores);
+        if (static_cast<std::uint64_t>(meshCols) * meshRows > kMaxMeshNodes)
+            return "meshCols: a " + std::to_string(meshCols) + "x" +
+                   std::to_string(meshRows) + " grid exceeds " +
+                   std::to_string(kMaxMeshNodes) + " routers";
         return "";
     }
 

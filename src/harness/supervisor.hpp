@@ -47,6 +47,7 @@
 #include <vector>
 
 #include <csignal>
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -229,6 +230,7 @@ class Supervisor
         for (const std::string &a : argv)
             cargv.push_back(const_cast<char *>(a.c_str()));
         cargv.push_back(nullptr);
+        const pid_t parent = ::getpid();
         const pid_t pid = ::fork();
         if (pid < 0) {
             // Treat a failed fork like a dead worker: back off, retry.
@@ -237,9 +239,19 @@ class Supervisor
             return;
         }
         if (pid == 0) {
+            // The worker leads its own process group, so a kill reaches
+            // every descendant (a wrapper's grandchildren too), and it
+            // dies with the supervisor.
+            ::setpgid(0, 0);
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != parent)
+                std::_Exit(127); // the supervisor died before prctl
             ::execvp(cargv[0], cargv.data());
             std::_Exit(127); // exec failed; parent sees exit 127
         }
+        // Also set from this side: a kill issued before the child runs
+        // must still find the group.
+        ::setpgid(pid, pid);
         s.pid = pid;
         s.state = State::Running;
         s.lastBeat = Clock::now();
@@ -425,7 +437,7 @@ class Supervisor
                 "worker-stall-kill", static_cast<std::uint64_t>(s.pid),
                 "shard " + std::to_string(s.index) + " quiet " +
                     std::to_string(quiet_ms) + " ms");
-            ::kill(s.pid, SIGKILL);
+            ::kill(-s.pid, SIGKILL); // the worker's whole process group
         }
     }
 
@@ -452,7 +464,7 @@ class Supervisor
         RunLedger::process().event(
             "chaos-kill", static_cast<std::uint64_t>(victim.pid),
             "shard " + std::to_string(victim.index));
-        ::kill(victim.pid, SIGKILL);
+        ::kill(-victim.pid, SIGKILL); // the worker's whole process group
     }
 
     SupervisorOptions opts_;

@@ -37,8 +37,10 @@ class Mesh
     Mesh(const Topology &topo, EventQueue &eq)
         : topo_(topo), eq_(eq), cfg_(topo.config()),
           // 4 directions per node; index = node * 4 + direction.
-          links_(static_cast<std::size_t>(topo.numNodes()) * 4)
+          links_(static_cast<std::size_t>(topo.numNodes()) * 4),
+          numNodes_(topo.numNodes())
     {
+        buildRoutes();
     }
 
     /** Direction of a link leaving a router. */
@@ -69,29 +71,22 @@ class Mesh
         ESP_PROF_SCOPE("mesh.route");
         const std::uint32_t flits = static_cast<std::uint32_t>(
             divCeil(bytes, cfg_.linkBytes));
+        const Cycle now = eq_.now();
+        const Cycle router = cfg_.routerLatency;
+        const Cycle wire = cfg_.linkLatency;
+        const bool traced = tracer_ && tracer_->enabled();
         // Local delivery still crosses the router once (bank and L1 share
         // the router at a node).
-        Cycle t = start + cfg_.routerLatency;
-        Coord cur = topo_.coordOf(src);
-        const Coord dest = topo_.coordOf(dst);
-        // X first, then Y (deadlock-free dimension order).
-        while (cur.x != dest.x) {
-            const Dir d = cur.x < dest.x ? East : West;
-            const NodeId node = topo_.nodeAt(cur);
-            t = linkAt(node, d)
-                    .transmit(t, flits, cfg_.linkLatency, eq_.now());
-            traceHop(node, d, t);
-            cur.x = cur.x < dest.x ? cur.x + 1 : cur.x - 1;
-            t += cfg_.routerLatency;
-        }
-        while (cur.y != dest.y) {
-            const Dir d = cur.y < dest.y ? South : North;
-            const NodeId node = topo_.nodeAt(cur);
-            t = linkAt(node, d)
-                    .transmit(t, flits, cfg_.linkLatency, eq_.now());
-            traceHop(node, d, t);
-            cur.y = cur.y < dest.y ? cur.y + 1 : cur.y - 1;
-            t += cfg_.routerLatency;
+        Cycle t = start + router;
+        const std::size_t pair = std::size_t{src} * numNodes_ + dst;
+        const std::uint16_t *hop = routeLinks_.data() + routeStart_[pair];
+        const std::uint16_t *const end =
+            routeLinks_.data() + routeStart_[pair + 1];
+        for (; hop != end; ++hop) {
+            t = links_[*hop].transmit(t, flits, wire, now);
+            if (traced)
+                traceHop(*hop, t);
+            t += router;
         }
         return t;
     }
@@ -247,19 +242,54 @@ class Mesh
     /** Record one link traversal, attributed via the tracer's current
      * transaction (set by the protocol before routing). */
     void
-    traceHop(NodeId node, Dir d, Cycle t)
+    traceHop(std::uint32_t link, Cycle t)
     {
-        if (tracer_ && tracer_->enabled())
-            tracer_->record(obs::TraceKind::Hop, t,
-                            tracer_->currentTx(), 0,
-                            static_cast<std::uint16_t>(node), 0,
-                            static_cast<std::uint32_t>(d));
+        tracer_->record(obs::TraceKind::Hop, t, tracer_->currentTx(), 0,
+                        static_cast<std::uint16_t>(link / 4), 0, link % 4);
+    }
+
+    /**
+     * Precompute every (src, dst) X-Y route as its ordered list of link
+     * indices (node * 4 + direction), X first, then Y (deadlock-free
+     * dimension order). deliveryTime() then walks a flat array instead
+     * of stepping coordinates hop by hop.
+     */
+    void
+    buildRoutes()
+    {
+        const std::uint32_t n = numNodes_;
+        static_assert(kMaxMeshNodes * 4 <= 0x10000, "u16 link ids");
+        routeStart_.reserve(static_cast<std::size_t>(n) * n + 1);
+        routeStart_.push_back(0);
+        for (NodeId src = 0; src < n; ++src) {
+            for (NodeId dst = 0; dst < n; ++dst) {
+                Coord cur = topo_.coordOf(src);
+                const Coord dest = topo_.coordOf(dst);
+                auto hop = [&](Dir d) {
+                    routeLinks_.push_back(static_cast<std::uint16_t>(
+                        topo_.nodeAt(cur) * 4 + d));
+                };
+                while (cur.x != dest.x) {
+                    hop(cur.x < dest.x ? East : West);
+                    cur.x = cur.x < dest.x ? cur.x + 1 : cur.x - 1;
+                }
+                while (cur.y != dest.y) {
+                    hop(cur.y < dest.y ? South : North);
+                    cur.y = cur.y < dest.y ? cur.y + 1 : cur.y - 1;
+                }
+                routeStart_.push_back(
+                    static_cast<std::uint32_t>(routeLinks_.size()));
+            }
+        }
     }
 
     const Topology &topo_;
     EventQueue &eq_;
     SystemConfig cfg_;
     std::vector<Link> links_;
+    std::uint32_t numNodes_;
+    std::vector<std::uint32_t> routeStart_; //!< per (src, dst): first hop
+    std::vector<std::uint16_t> routeLinks_; //!< link ids, route by route
     std::uint64_t messagesSent_ = 0;
     Cycle totalLatency_ = 0;
     obs::Tracer *tracer_ = nullptr;

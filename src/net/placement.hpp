@@ -268,6 +268,11 @@ struct PlacementMap
     {
         if (cols == 0 || rows == 0)
             throw PlacementError("meshCols/meshRows: zero-sized grid");
+        if (static_cast<std::uint64_t>(cols) * rows > kMaxMeshNodes)
+            throw PlacementError(
+                "meshCols: a " + std::to_string(cols) + "x" +
+                std::to_string(rows) + " grid exceeds " +
+                std::to_string(kMaxMeshNodes) + " routers");
         if (coreNodes.size() != cfg.numCores)
             throw PlacementError(
                 "numCores: placement assigns " +

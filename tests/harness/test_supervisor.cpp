@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -241,6 +245,57 @@ sleep 60
     EXPECT_EQ(sup.failures()[0].pointHash, 0xBBu);
     ASSERT_EQ(sup.quarantine().size(), 1u);
     EXPECT_EQ(sup.quarantine()[0].workload, "oltp");
+    std::filesystem::remove_all(dir);
+}
+
+/** True once `pid` is gone or a zombie (killed, awaiting its reaper). */
+bool
+processDead(pid_t pid)
+{
+    if (::kill(pid, 0) != 0 && errno == ESRCH)
+        return true;
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string field;
+    for (int i = 0; i < 3 && (stat >> field); ++i) {
+    }
+    return field == "Z";
+}
+
+TEST(Supervisor, StallKillReachesEveryDescendant)
+{
+    // The worker is a wrapper whose grandchild records its pid and
+    // would outlive a kill aimed only at the direct child.
+    const std::string dir = freshDir("tree");
+    const std::string script = R"(
+dir="$4"; hb="$6"
+if [ -f "$dir/quarantine.json" ]; then exit 0; fi
+sleep 60 &
+echo $! > "$dir/grandchild.pid"
+printf '%s\n' '{"schema":"espnuca-heartbeat-v1","pid":1,"seq":1,"state":"point-start","point_hash":"00000000000000cc","index":1,"arch":"shared","workload":"oltp","done":0,"total":1}' > "$hb"
+wait
+)";
+    SupervisorOptions o = fastOpts(dir, script);
+    o.quarantineAfter = 1;
+    o.stallTimeoutMs = 200;
+    Supervisor sup(o);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(sup.run(), 0);
+    ASSERT_GE(sup.failures().size(), 1u);
+    EXPECT_TRUE(sup.failures()[0].stalled);
+
+    pid_t grandchild = 0;
+    std::ifstream(dir + "/grandchild.pid") >> grandchild;
+    ASSERT_GT(grandchild, 0);
+    bool dead = processDead(grandchild);
+    for (int i = 0; i < 200 && !dead; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        dead = processDead(grandchild);
+    }
+    EXPECT_TRUE(dead) << "grandchild " << grandchild << " survived";
+    if (!dead)
+        ::kill(grandchild, SIGKILL);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
     std::filesystem::remove_all(dir);
 }
 

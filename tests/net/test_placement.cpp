@@ -232,6 +232,22 @@ TEST(PlacementValidate, RejectsSharedCoreRouters)
     }
 }
 
+TEST(PlacementValidate, RejectsMoreRoutersThanTheRouteTableHolds)
+{
+    SystemConfig cfg;
+    PlacementMap p = PlacementMap::paper(cfg);
+    p.cols = 32; // 512 routers, past kMaxMeshNodes
+    p.rows = 16;
+    try {
+        p.validate(cfg);
+        FAIL() << "accepted a 32x16 grid";
+    } catch (const PlacementError &e) {
+        EXPECT_NE(std::string(e.what()).find("routers"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // -- Config diagnostics --------------------------------------------------
 
 TEST(ConfigValidate, NamesTheOffendingKnob)
@@ -257,6 +273,12 @@ TEST(ConfigValidate, NamesTheOffendingKnob)
         {[](SystemConfig &c) {
              c.meshCols = 2;
              c.meshRows = 2;
+         },
+         "meshCols"},
+        {[](SystemConfig &c) { // routes are precomputed per router pair
+             c.placement = "tiled";
+             c.meshCols = 32;
+             c.meshRows = 16;
          },
          "meshCols"},
     };

@@ -7,8 +7,9 @@
 #
 # Runs (Release build):
 #   - bench/micro_components  (google-benchmark, JSON format): the
-#     event-kernel pair (timing wheel vs the retired heap kernel) and
-#     the MSHR-pattern hash-map pair (FlatMap vs std::unordered_map),
+#     event-kernel pair (timing wheel vs the retired heap kernel), the
+#     MSHR-pattern hash-map pair (FlatMap vs std::unordered_map), and
+#     the 32-core remote-private fan-out on the mesh (BM_MeshDelivery),
 #   - bench/fig07_onchip_offchip --json results/fig07_onchip_offchip.json
 #     as the end-to-end smoke (wall time recorded),
 #   - the event-kernel micro again from an -DESPNUCA_OBS=OFF build: the
@@ -40,6 +41,8 @@
 #     "map_churn":    { "flat_map": {...}, "unordered_baseline": {...},
 #                       "speedup" },
 #     "fig07": { "wall_seconds", "json_path" },
+#     "mesh": { "fanout": {deliveries_per_sec, ns_per_delivery},
+#               "previous_ns_per_delivery" },
 #     "obs": { "obs_on": {...}, "obs_off": {...}, "overhead_pct" },
 #     "protocol": { "snuca": {...}, "esp_nuca": {...},
 #                   "snuca_audit_on": {...}, "audit_overhead_pct" },
@@ -58,10 +61,10 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-release -j --target micro_components \
     micro_protocol fig07_onchip_offchip > /dev/null
 
-echo "== bench_perf: micro_components (event kernel + maps) =="
+echo "== bench_perf: micro_components (event kernel, maps, mesh fan-out) =="
 MICRO_JSON=$(mktemp)
 ./build-release/bench/micro_components \
-    --benchmark_filter='EventKernel|MapChurn' \
+    --benchmark_filter='EventKernel|MapChurn|MeshDelivery' \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_format=json > "$MICRO_JSON"
@@ -146,12 +149,12 @@ python3 - "$MICRO_JSON" "$NEW_JSON" "$FIG07_JSON" \
     "$FIG07_START" "$FIG07_END" "$OBSOFF_JSON" \
     "$PROTO_JSON" "$AUDITON_JSON" "$BREAKDOWN_JSON" \
     "$SWEEP_START" "$SWEEP_END" "$COLD_START" "$COLD_END" \
-    "$WARM_END" <<'PY'
-import json, sys
+    "$WARM_END" "$OUT" <<'PY'
+import json, os, sys
 
 (micro_path, out_path, fig07_path, t0, t1, obsoff_path,
  proto_path, auditon_path, breakdown_path,
- sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1) = sys.argv[1:15]
+ sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1, prev_path) = sys.argv[1:16]
 with open(micro_path) as f:
     micro = json.load(f)
 with open(obsoff_path) as f:
@@ -187,6 +190,11 @@ wheel_off = mean_metrics("BM_EventKernelWheel", obsoff)
 proto_snuca = tx_metrics("BM_ProtocolFsmSnuca", proto)
 proto_esp = tx_metrics("BM_ProtocolFsmEspNuca", proto)
 proto_audit = tx_metrics("BM_ProtocolFsmSnuca", auditon)
+fanout = mean_metrics("BM_MeshDelivery")
+previous = {}
+if os.path.isfile(prev_path):
+    with open(prev_path) as f:
+        previous = json.load(f)
 
 report = {
     "event_kernel": {
@@ -204,6 +212,15 @@ report = {
     "fig07": {
         "wall_seconds": round(float(t1) - float(t0), 2),
         "json_path": fig07_path,
+    },
+    # One mesh delivery of the 32-core remote-private fan-out (probe
+    # out, staggered negative reply back), next to the figure from the
+    # document this run replaces.
+    "mesh": {
+        "fanout": {"deliveries_per_sec": fanout["events_per_sec"],
+                   "ns_per_delivery": fanout["ns_per_event"]},
+        "previous_ns_per_delivery": previous.get("mesh", {}).get(
+            "fanout", {}).get("ns_per_delivery"),
     },
     # Cost of the compiled-in (but runtime-disabled) observability
     # layer on the event-kernel hot path; must stay within noise.

@@ -60,6 +60,52 @@ foreach(arch ${archs})
     endforeach()
 endforeach()
 
+# Contended mesh: the paper's 4x3 mesh keeps links lightly loaded, so
+# link occupancy (backfilling, coalescing, pruning) is pinned by a
+# 32-core tiled run whose links queue heavily.
+set(tiled32 --arch esp-nuca --workload apache --cores 32 --banks 128
+    --l2-mb 32 --placement tiled --ops 1500 --warmup 0)
+execute_process(
+    COMMAND ${SIM} ${tiled32} --stats
+    OUTPUT_FILE ${WORKDIR}/esp-nuca-32c-tiled.stats.txt
+    RESULT_VARIABLE r
+)
+if(NOT r EQUAL 0)
+    message(FATAL_ERROR "stats run failed for esp-nuca-32c-tiled: ${r}")
+endif()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORKDIR}/esp-nuca-32c-tiled.stats.txt
+            ${GOLDEN}/stats/esp-nuca-32c-tiled.txt
+    RESULT_VARIABLE r
+)
+if(NOT r EQUAL 0)
+    message(FATAL_ERROR
+            "--stats dump for esp-nuca-32c-tiled differs from the golden")
+endif()
+foreach(jobs 1 4)
+    execute_process(
+        COMMAND ${SIM} ${tiled32} --json --jobs ${jobs}
+        OUTPUT_FILE ${WORKDIR}/esp-nuca-32c-tiled.j${jobs}.json
+        RESULT_VARIABLE r
+    )
+    if(NOT r EQUAL 0)
+        message(FATAL_ERROR
+                "json run failed for esp-nuca-32c-tiled (jobs ${jobs}): ${r}")
+    endif()
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/esp-nuca-32c-tiled.j${jobs}.json
+                ${GOLDEN}/json/esp-nuca-32c-tiled.json
+        RESULT_VARIABLE r
+    )
+    if(NOT r EQUAL 0)
+        message(FATAL_ERROR
+                "--json document for esp-nuca-32c-tiled (jobs ${jobs}) "
+                "differs from the golden")
+    endif()
+endforeach()
+
 # Bench document: pinned ops/runs/jobs (the config section records the
 # resolved worker count), describe normalized like the golden.
 execute_process(
