@@ -16,6 +16,8 @@
 #define ESPNUCA_COHERENCE_DIRECTORY_HPP_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "coherence/l1_cache.hpp"
 #include "common/config.hpp"
@@ -35,10 +37,11 @@ using L1HolderMask = InlineBitset<kMaxCores * 2>;
 /** Per-block L2 copy set (one bit per BankId). */
 using L2CopyMask = InlineBitset<kMaxL2Banks>;
 
-/** Directory entry for one block currently on chip. The hot scalar
- *  fields lead so owner/status probes touch only the entry's first
- *  bytes; the wide holder/copy masks (48 B at the 64-core/256-bank
- *  caps) sit behind them. */
+/** Directory entry for one block (on chip, or off chip with its
+ *  status kept for the next demand access). The hot scalar fields lead
+ *  so owner/status probes touch only the entry's first bytes; the wide
+ *  holder/copy masks (48 B at the 64-core/256-bank caps) sit behind
+ *  them. */
 struct BlockInfo
 {
     OwnerKind ownerKind = OwnerKind::Memory;
@@ -75,29 +78,36 @@ struct BlockInfo
 /**
  * The directory proper. All mutations funnel through here so the holder
  * sets stay consistent with the cache arrays (cross-checked in tests).
+ *
+ * Storage is split in two. A FlatMap probe index maps a block address
+ * to a 32-bit entry id; its slots are 24 bytes, so a rehash moves
+ * those rather than whole entries, and table order (which save()
+ * follows) depends only on the key history. The entries live in a
+ * pool of fixed-size chunks that never move or free while the
+ * directory lives: a doubling of the index copies no entry, and an
+ * entry pointer survives every insert.
+ * Entries are never erased — an off-chip block keeps its status until
+ * the next demand access resets it (noteAccess) — so the pool only
+ * grows and ids are handed out in creation order.
  */
 class Directory
 {
   public:
-    explicit Directory(const SystemConfig &cfg) : cfg_(cfg) {}
+    explicit Directory(const SystemConfig &cfg)
+        : totalTokens_(cfg.totalTokens())
+    {
+    }
 
     /** Hint: pull a's home slot into cache ahead of a find/entry known
      * to follow shortly (e.g. the noteAccess of a just-issued access). */
-    void prefetch(Addr a) const { map_.prefetch(a); }
+    void prefetch(Addr a) const { index_.prefetch(a); }
 
-    /** Look up without creating; nullptr when the block is off chip. */
+    /** Look up without creating; nullptr when the block was never seen. */
     const BlockInfo *
     find(Addr a) const
     {
-        auto it = map_.find(a);
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-    /** Look up or create (fresh blocks are private, memory-owned). */
-    BlockInfo &
-    entry(Addr a)
-    {
-        return map_[a];
+        auto it = index_.find(a);
+        return it == index_.end() ? nullptr : &at(it->second);
     }
 
     /** True when any on-chip structure holds the block. */
@@ -149,7 +159,10 @@ class Directory
     }
 
     /** Remove an L1 holder; owner token falls back to memory for now
-     *  (callers re-assign it when the data lands in an L2 bank). */
+     *  (callers re-assign it when the data lands in an L2 bank). The
+     *  entry stays when this was the last on-chip copy, as on every
+     *  remove path: transient zero-copy windows during on-chip moves
+     *  must not lose the private/shared status. */
     void
     removeL1(Addr a, L1Id id)
     {
@@ -160,7 +173,6 @@ class Directory
             e.ownerKind = OwnerKind::Memory;
             e.ownerIndex = 0;
         }
-        maybeRelease(a);
     }
 
     // -- L2 copy management --------------------------------------------
@@ -187,7 +199,6 @@ class Directory
             e.ownerKind = OwnerKind::Memory;
             e.ownerIndex = 0;
         }
-        maybeRelease(a);
     }
 
     /** Move the L2 owner-token copy from one bank to another. */
@@ -224,9 +235,8 @@ class Directory
     tokensOf(Addr a, OwnerKind kind, std::uint32_t index) const
     {
         const BlockInfo *e = find(a);
-        const std::uint32_t total = cfg_.totalTokens();
         if (!e)
-            return kind == OwnerKind::Memory ? total : 0;
+            return kind == OwnerKind::Memory ? totalTokens_ : 0;
         const std::uint32_t holders = e->numL1Holders() + e->numL2Copies();
         const bool is_holder =
             (kind == OwnerKind::L1 && e->hasL1Holder(index)) ||
@@ -236,10 +246,8 @@ class Directory
             (kind == OwnerKind::Memory || e->ownerIndex == index);
         if (is_owner) {
             const std::uint32_t others = holders - (is_holder ? 1 : 0);
-            return total - others;
+            return totalTokens_ - others;
         }
-        if (kind == OwnerKind::Memory)
-            return e->ownerKind == OwnerKind::Memory ? 0 : 0;
         return is_holder ? 1 : 0;
     }
 
@@ -248,8 +256,8 @@ class Directory
     population() const
     {
         std::size_t n = 0;
-        for (const auto &[a, e] : map_)
-            n += e.onChip();
+        for (std::uint32_t id = 0; id < count_; ++id)
+            n += at(id).onChip();
         return n;
     }
 
@@ -271,8 +279,14 @@ class Directory
         return true;
     }
 
-    /** Iterate all tracked blocks (tests). */
-    const FlatMap<Addr, BlockInfo> &raw() const { return map_; }
+    /** Visit every tracked block, fn(addr, entry), in table order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const auto &[a, id] : index_)
+            fn(a, at(id));
+    }
 
     // -- Snapshot/restore ----------------------------------------------
 
@@ -280,15 +294,15 @@ class Directory
      * Every entry is serialized, including off-chip ones: their
      * sharedStatus/firstAccessor survive until the next demand access
      * resets them lazily (noteAccess), so dropping them would change
-     * the privatization sequence of the restored run. Bucket layout is
-     * not preserved (lookups are exact-key; nothing iterates the map
-     * during simulation).
+     * the privatization sequence of the restored run. Entries follow
+     * table order; bucket layout is not preserved (lookups are
+     * exact-key; nothing iterates the directory during simulation).
      */
     void
     save(SnapshotWriter &w) const
     {
-        w.u64(map_.size());
-        for (const auto &[a, e] : map_) {
+        w.u64(index_.size());
+        forEach([&](Addr a, const BlockInfo &e) {
             w.u64(a);
             for (std::uint32_t k = 0; k < L1HolderMask::kWords; ++k)
                 w.u64(e.l1Holders.word(k));
@@ -298,17 +312,19 @@ class Directory
             w.u32(e.ownerIndex);
             w.b(e.sharedStatus);
             w.u32(e.firstAccessor);
-        }
+        });
     }
 
     void
     load(SnapshotReader &r)
     {
-        map_.clear();
+        index_.clear();
+        chunks_.clear();
+        count_ = 0;
         const std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
             const Addr a = r.u64();
-            BlockInfo &e = map_[a];
+            BlockInfo &e = entry(a);
             for (std::uint32_t k = 0; k < L1HolderMask::kWords; ++k)
                 e.l1Holders.setWord(k, r.u64());
             for (std::uint32_t k = 0; k < L2CopyMask::kWords; ++k)
@@ -321,27 +337,47 @@ class Directory
     }
 
   private:
-    /**
-     * When the last on-chip copy disappears the block has "left the
-     * chip". The entry is retained (its status reset happens lazily at
-     * the next demand access) so that transient zero-copy windows
-     * during on-chip moves don't destroy the private/shared status;
-     * only the owner token is settled back to memory, which the
-     * remove paths already did.
-     */
-    void
-    maybeRelease(Addr a)
+    /** Entries per pool chunk: 64 KB of 64-byte entries. */
+    static constexpr std::uint32_t kChunkShift = 10;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+
+    const BlockInfo &
+    at(std::uint32_t id) const
     {
-        (void)a;
+        return chunks_[id >> kChunkShift][id & kChunkMask];
+    }
+    BlockInfo &
+    at(std::uint32_t id)
+    {
+        return chunks_[id >> kChunkShift][id & kChunkMask];
     }
 
-    SystemConfig cfg_;
+    /** Look up or create (fresh blocks are private, memory-owned). */
+    BlockInfo &
+    entry(Addr a)
+    {
+        const std::size_t before = index_.size();
+        std::uint32_t &id = index_[a];
+        if (index_.size() != before) {
+            ESP_ASSERT(count_ != ~std::uint32_t{0},
+                       "directory entry ids exhausted");
+            if ((count_ & kChunkMask) == 0)
+                chunks_.push_back(
+                    std::make_unique<BlockInfo[]>(kChunkMask + 1));
+            id = count_++;
+        }
+        return at(id);
+    }
+
+    std::uint32_t totalTokens_;
     /**
-     * Open-addressing map: the directory is probed on every L2 search
-     * step and every fill, so the lookup must be one mixed hash and
-     * (almost always) one cache line rather than a node chase.
+     * Open-addressing probe index: the directory is probed on every L2
+     * search step and every fill, so the lookup must be one mixed hash
+     * and (almost always) one cache line rather than a node chase.
      */
-    FlatMap<Addr, BlockInfo> map_;
+    FlatMap<Addr, std::uint32_t> index_;
+    std::vector<std::unique_ptr<BlockInfo[]>> chunks_;
+    std::uint32_t count_ = 0; //!< entries handed out
 };
 
 } // namespace espnuca

@@ -44,10 +44,9 @@ Protocol::collectTokens(Transaction &tx, Cycle t_ordering)
         dropL1Copy(tx.addr, h);
     });
 
-    // Invalidate every L2 copy (tokens flow to the writer).
-    e = dir_.find(tx.addr); // may have been released above
-    const L2CopyMask l2_targets =
-        e != nullptr ? e->l2Copies : L2CopyMask{};
+    // Invalidate every L2 copy (tokens flow to the writer). Entries are
+    // never erased and never move, so e still points at the live entry.
+    const L2CopyMask l2_targets = e->l2Copies;
     l2_targets.forEachSet([&](std::uint32_t bit) {
         const BankId b = static_cast<BankId>(bit);
         const NodeId n = topo_.bankNode(b);
@@ -79,9 +78,6 @@ Protocol::sweepForWrite(Transaction &tx)
     l1_targets.forEachSet([&](std::uint32_t bit) {
         dropL1Copy(tx.addr, static_cast<L1Id>(bit));
     });
-    e = dir_.find(tx.addr);
-    if (e == nullptr)
-        return;
     const L2CopyMask l2_targets = e->l2Copies;
     l2_targets.forEachSet([&](std::uint32_t bit) {
         const BankId b = static_cast<BankId>(bit);

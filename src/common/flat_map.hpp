@@ -64,9 +64,8 @@ class FlatMap
     struct Slot
     {
         // The occupancy flag leads: a probe reads `full` and then the
-        // key, and with a large V (e.g. the directory's BlockInfo) a
-        // trailing flag would drag the slot's far cache line into
-        // every probe, hit or miss.
+        // key, and with a large V a trailing flag would drag the
+        // slot's far cache line into every probe, hit or miss.
         bool full = false;
         std::pair<K, V> kv{};
     };

@@ -5,7 +5,8 @@
  * and restores from that file must produce results — including the
  * full per-component stats dump — byte-identical to the same phased
  * run executed cold, and a checkpoint must never be accepted for a
- * run with a different identity.
+ * run with a different identity. The directory's own save() bytes are
+ * pinned to digests of the pre-split layout.
  */
 
 #include <gtest/gtest.h>
@@ -186,6 +187,41 @@ TEST(Checkpoint, PhasedRunIsDeterministicAcrossProcessesShape)
     EXPECT_FALSE(b.restored);
     EXPECT_EQ(runToJson(a.result), runToJson(b.result));
     EXPECT_EQ(a.stats, b.stats);
+}
+
+// -- Directory snapshot bytes pinned against the single-table layout -----
+// The digests were taken from the directory that stored every entry
+// inline in one FlatMap, before the probe-index/entry-pool split; the
+// split must reproduce its save() bytes exactly.
+
+/** FNV-1a digest of Directory::save after a fixed end-to-end run. */
+std::uint64_t
+dirSaveDigest(const SystemConfig &cfg, const char *workload,
+              std::uint64_t ops_per_core)
+{
+    System sys(cfg, "esp-nuca", makeWorkload(workload, cfg, ops_per_core, 1),
+               1, /*warmup=*/0.0);
+    sys.run();
+    SnapshotWriter w;
+    sys.protocol().dir().save(w);
+    return fnv1a(w.bytes());
+}
+
+TEST(DirectorySnapshotLayout, Paper8CoreApacheMatchesInlineLayout)
+{
+    EXPECT_EQ(dirSaveDigest(SystemConfig{}, "apache", 20'000),
+              0xb4b28e61f693c285ULL);
+}
+
+TEST(DirectorySnapshotLayout, Tiled32CoreApacheMatchesInlineLayout)
+{
+    SystemConfig cfg;
+    cfg.numCores = 32;
+    cfg.l2Banks = 128;
+    cfg.l2SizeBytes = 32ULL * 1024 * 1024;
+    cfg.memControllers = 4;
+    cfg.placement = "tiled";
+    EXPECT_EQ(dirSaveDigest(cfg, "apache", 3'000), 0x987fc2e67a34b6c7ULL);
 }
 
 } // namespace
