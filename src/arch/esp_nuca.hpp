@@ -119,7 +119,7 @@ class EspNuca : public SpNuca
                                     cfg_.dataMsgBytes, t);
         const InsertResult res =
             applyInsert(home, map_.sharedSet(blk.addr), victim,
-                        blk.hasOwnerToken);
+                        blk.hasOwnerToken, proto().dir().entry(blk.addr));
         if (!res.inserted) {
             dropDisplaced(blk, from_bank, t);
             return;
@@ -162,20 +162,22 @@ class EspNuca : public SpNuca
         BlockMeta copy = m;
         copy.dirty = false;
         copy.hasOwnerToken = false;
-        offerReplica(tx.core, copy, t);
+        offerReplica(tx.core, copy, *tx.dirEntry, t);
     }
 
     /** Clean local copies of shared data on L1 eviction. */
     void
-    maybeCreateReplica(CoreId c, const BlockMeta &blk, Cycle t) override
+    maybeCreateReplica(CoreId c, const BlockMeta &blk, BlockInfo &e,
+                       Cycle t) override
     {
         if (evictReplication_)
-            offerReplica(c, blk, t);
+            offerReplica(c, blk, e, t);
     }
 
-    /** Offer a clean replica to the requester's private bank. */
+    /** Offer a clean replica (`e`: blk's directory entry) to the
+     *  requester's private bank. */
     void
-    offerReplica(CoreId c, const BlockMeta &blk, Cycle t)
+    offerReplica(CoreId c, const BlockMeta &blk, BlockInfo &e, Cycle t)
     {
         ESP_PROF_SCOPE("esp.helping");
         // Churn throttle: replica creation is pacing-limited so that a
@@ -187,8 +189,7 @@ class EspNuca : public SpNuca
         if (map_.isLocalBank(c, home))
             return; // the home copy is already local
         const BankId priv = map_.privateBank(c, blk.addr);
-        const BlockInfo *e = proto().dir().find(blk.addr);
-        if (e != nullptr && e->hasL2Copy(priv))
+        if (e.hasL2Copy(priv))
             return; // a local replica already exists
         BlockMeta replica;
         replica.addr = blk.addr;
@@ -198,7 +199,7 @@ class EspNuca : public SpNuca
         replica.owner = c;
         const InsertResult res = applyInsert(
             priv, map_.privateSet(blk.addr), replica,
-            /*owner_token=*/false);
+            /*owner_token=*/false, e);
         if (!res.inserted)
             return;
         ++replicasCreated_;

@@ -18,7 +18,7 @@ std::array<std::size_t, kNumTxStates>
 Protocol::inFlightByState() const
 {
     std::array<std::size_t, kNumTxStates> hist{};
-    for (const auto &[id, tx] : live_)
+    for (const Transaction *tx : live_)
         ++hist[static_cast<std::size_t>(tx->state)];
     return hist;
 }
@@ -47,11 +47,8 @@ Protocol::dumpDiagnostics(std::ostream &os) const
         os << " (none)";
     os << "\n";
 
-    // Sort by id for a deterministic dump regardless of hash order.
-    std::vector<const Transaction *> txs;
-    txs.reserve(live_.size());
-    for (const auto &[id, tx] : live_)
-        txs.push_back(tx);
+    // Sort by id: swap-removal leaves the live list in no fixed order.
+    std::vector<const Transaction *> txs(live_.begin(), live_.end());
     std::sort(txs.begin(), txs.end(),
               [](const Transaction *a, const Transaction *b) {
                   return a->id < b->id;

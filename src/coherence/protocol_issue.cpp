@@ -37,7 +37,7 @@ Protocol::~Protocol()
     // Transactions still in flight when the simulation is torn down
     // (e.g. a bounded runUntil) live on the slab; destroy them so
     // their waiter vectors are released.
-    for (auto &[id, tx] : live_)
+    for (Transaction *tx : live_)
         txSlab_.release(tx);
 }
 
@@ -107,7 +107,8 @@ Protocol::access(CoreId c, AccessType t, Addr a, OpDone done)
     raw->issueTime = issue;
     raw->reqNode = topo_.coreNode(c);
     raw->waiters.push_back({issue, std::move(done)});
-    live_[raw->id] = raw;
+    raw->liveSlot = static_cast<std::uint32_t>(live_.size());
+    live_.push_back(raw);
     mshrs_[key] = raw;
     ++transactions_;
     // The L1 miss is the moment a reference becomes a transaction: the
@@ -129,7 +130,10 @@ Protocol::begin(Transaction *tx)
     tx->searchStart = t0;
     if (tracer_)
         tracer_->setCurrentTx(tx->id);
-    if (dir_.noteAccess(tx->addr, tx->core)) {
+    // The block's entry (created on its first access) rides on the
+    // transaction for every later directory access.
+    tx->dirEntry = &dir_.entry(tx->addr);
+    if (dir_.noteAccess(*tx->dirEntry, tx->core)) {
         ++privatizations_;
         if (tracer_ && tracer_->enabled())
             tracer_->record(
@@ -155,10 +159,9 @@ Protocol::begin(Transaction *tx)
     tx->isUpgrade = tx->isWrite && resident;
     if (tx->isUpgrade) {
         // Sole ownership may also have materialized already.
-        const BlockInfo *e = dir_.find(tx->addr);
-        if (e != nullptr && e->ownerKind == OwnerKind::L1 &&
-            e->ownerIndex == self && e->numL1Holders() == 1 &&
-            e->l2Copies.none()) {
+        const BlockInfo &e = *tx->dirEntry;
+        if (e.ownerKind == OwnerKind::L1 && e.ownerIndex == self &&
+            e.numL1Holders() == 1 && e.l2Copies.none()) {
             ++l1Hits_;
             tx->level = ServiceLevel::LocalL1;
             transition(*tx, TxState::HitReturn, t0);

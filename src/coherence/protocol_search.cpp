@@ -1,9 +1,10 @@
 /**
  * @file
- * Search stage of the transaction FSM: bank probes on behalf of the L2
- * organization, the typed resolution entries resolve(L2HitAt) /
- * resolve(L2MissAt) driving Searching -> {HitReturn, MissMemWait}, and
- * the parallel off-chip fetch (Figure 2b step 2).
+ * Search stage of the transaction FSM: the typed resolution entries
+ * resolve(L2HitAt) / resolve(L2MissAt) driving Searching ->
+ * {HitReturn, MissMemWait}, and the parallel off-chip fetch (Figure 2b
+ * step 2). The bank probes the L2 organization drives are templates
+ * defined in l2_org.hpp.
  */
 
 #include "coherence/protocol.hpp"
@@ -16,19 +17,6 @@
 #include "obs/profiler.hpp"
 
 namespace espnuca {
-
-void
-Protocol::probe(Transaction &tx, BankId bank, std::uint32_t set_index,
-                ClassMask match, NodeId from_node, Cycle t, ProbeFn cb)
-{
-    // Delegate to the raw-callable template (l2_org.hpp) through a
-    // shim lambda; type-erased callers keep working, and the two entry
-    // points share one body.
-    probe(tx, bank, set_index, match, from_node, t,
-          [cb = std::move(cb)](const ProbeResult &r, Cycle done) {
-              cb(r, done);
-          });
-}
 
 void
 Protocol::resolve(Transaction &tx, const L2HitAt &hit)
@@ -109,19 +97,19 @@ Protocol::handleL2Miss(Transaction &tx, NodeId last_node, Cycle t)
             : mesh_.deliveryTime(last_node, home, cfg_.ctrlMsgBytes, t);
 
     // TokenD: the home directory knows the L1 holders.
-    const BlockInfo *e = dir_.find(tx.addr);
+    const BlockInfo &e = *tx.dirEntry;
     const L1Id self = l1IdOf(tx.core, tx.type == AccessType::Ifetch);
     L1Id source = 0;
     bool have_source = false;
-    if (e && e->l1Holders.any()) {
-        if (e->ownerKind == OwnerKind::L1 && e->ownerIndex != self) {
-            source = static_cast<L1Id>(e->ownerIndex);
+    if (e.l1Holders.any()) {
+        if (e.ownerKind == OwnerKind::L1 && e.ownerIndex != self) {
+            source = static_cast<L1Id>(e.ownerIndex);
             have_source = true;
         } else {
             // Nearest holder to the requester supplies the data; the
             // ascending bit walk keeps the old loop's tie-breaking.
             std::uint32_t best_hops = ~0u;
-            e->l1Holders.withCleared(self).forEachSet(
+            e.l1Holders.withCleared(self).forEachSet(
                 [&](std::uint32_t bit) {
                     const L1Id h = static_cast<L1Id>(bit);
                     const std::uint32_t d = topo_.hops(
@@ -156,11 +144,11 @@ Protocol::handleL2Miss(Transaction &tx, NodeId last_node, Cycle t)
     // Directory-guided remote L2 copy (e.g. a peer tile holding a spilled
     // or replicated block in the private-cache organizations): the home
     // directory forwards the request to the nearest holding bank.
-    if (e != nullptr && e->l2Copies.any()) {
+    if (e.l2Copies.any()) {
         transition(tx, TxState::HitReturn, t_home);
         BankId src_bank = kInvalidBank;
         std::uint32_t best_hops = ~0u;
-        e->l2Copies.forEachSet([&](std::uint32_t bit) {
+        e.l2Copies.forEachSet([&](std::uint32_t bit) {
             const BankId b = static_cast<BankId>(bit);
             const std::uint32_t d =
                 topo_.hops(tx.reqNode, topo_.bankNode(b));

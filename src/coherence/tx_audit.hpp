@@ -24,7 +24,11 @@
  *   - waiter latencies are monotone: completion never precedes a
  *     merged waiter's issue time (checkWaiterLatency);
  *   - at Done, a write left the directory with the requester as the
- *     sole L1 owner and no L2 copies (checkDone).
+ *     sole L1 owner and no L2 copies (checkDone);
+ *   - a directory-filtered fan-out probe (the bank's l2Copies bit was
+ *     clear, so the set was not read) would have missed had it read
+ *     the set (checkFilteredProbe). The filtered-probe count is kept
+ *     here, outside the StatsRegistry, so stats dumps keep their bytes.
  */
 
 #ifndef ESPNUCA_COHERENCE_TX_AUDIT_HPP_
@@ -132,6 +136,24 @@ class TxAudit
                 std::to_string(e->numL2Copies()) + ")");
     }
 
+    /**
+     * Cross-check of a directory-filtered probe: `way` is what the
+     * skipped tag match returns when run anyway; it must be a miss.
+     */
+    void
+    checkFilteredProbe(std::uint64_t id, BankId bank, int way)
+    {
+        if (way != kNoWay)
+            throw TxAuditError("filtered probe of bank " +
+                               std::to_string(bank) +
+                               " hits way " + std::to_string(way) +
+                               " (tx " + std::to_string(id) + ")");
+        ++filteredProbes_;
+    }
+
+    /** Fan-out probes answered from the directory without a set read. */
+    std::uint64_t filteredProbes() const { return filteredProbes_; }
+
     /** Per-edge transition counts, indexed like kTxEdges. */
     const std::array<std::uint64_t, kNumTxEdges> &
     edgeCounts() const
@@ -145,6 +167,7 @@ class TxAudit
     {
         for (std::size_t i = 0; i < kNumTxEdges; ++i)
             edgeCount_[i] += other.edgeCount_[i];
+        filteredProbes_ += other.filteredProbes_;
     }
 
     /** Names of the table edges this auditor never saw. */
@@ -161,6 +184,7 @@ class TxAudit
 
   private:
     std::array<std::uint64_t, kNumTxEdges> edgeCount_{};
+    std::uint64_t filteredProbes_ = 0;
 };
 
 #else // !ESPNUCA_TX_AUDIT

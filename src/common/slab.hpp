@@ -16,9 +16,9 @@
  *    pointer may be captured by in-flight events.
  *  - release() destroys the object; the slot may be handed out again
  *    by the very next acquire(). Callers must not touch a released
- *    pointer — the protocol guarantees this by erasing the id from
- *    its live map first and routing every late continuation through
- *    that map.
+ *    pointer — the protocol releases a transaction only in its own
+ *    completion event, and a late fan-out probe checks its record's
+ *    resolved flag before touching the transaction.
  */
 
 #ifndef ESPNUCA_COMMON_SLAB_HPP_

@@ -39,12 +39,13 @@
 namespace espnuca {
 
 /**
- * Callback executed when an event fires. The 128-byte inline buffer is
- * sized for the fattest hot closure in the simulator: the probe
- * continuation, which carries a 64-byte ProbeFn plus bank/set/time
- * context (~104 bytes). Everything the protocol, cores and mesh
- * schedule stays inline; larger captures fall back to the heap rather
- * than failing to compile.
+ * Callback executed when an event fires. The 128-byte inline buffer
+ * holds the fattest hot closures in the simulator: the
+ * transaction-form probe event (~80 bytes: the search continuation
+ * plus bank, set, address, directory entry and trace context) and the
+ * L1-hit completion carrying a 64-byte OpDone. Everything the
+ * protocol, cores and mesh schedule stays inline; larger captures
+ * fall back to the heap rather than failing to compile.
  */
 using EventFn = InlineFn<void(), 128>;
 
@@ -83,9 +84,7 @@ class EventQueue
 
     // Raw-callable overloads: construct the closure directly in its
     // slab slot instead of building a temporary EventFn and relocating
-    // it. For the fat probe continuation (which captures a nested
-    // InlineFn and therefore relocates through a manage dispatch) this
-    // removes one full relocation per scheduled event.
+    // it, which removes one full relocation per scheduled event.
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, EventFn>>>
