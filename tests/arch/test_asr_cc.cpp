@@ -163,7 +163,8 @@ TEST(CooperativeCaching, SpilledBlockServedRemotely)
     }
     ASSERT_NE(spilled, 0u);
     if (rig.proto.l1(l1IdOf(0, false)).has(spilled))
-        rig.proto.dropL1Copy(spilled, l1IdOf(0, false));
+        rig.proto.dropL1Copy(spilled, l1IdOf(0, false),
+                             rig.proto.dir().entry(spilled));
     const ServiceLevel lvl = rig.access(0, AccessType::Load, spilled);
     EXPECT_NE(lvl, ServiceLevel::OffChip);
 }

@@ -64,7 +64,7 @@ TEST_F(DnucaFixture, FillAllocatesOnRequesterRow)
 TEST_F(DnucaFixture, PrivateDataMigratesToRequesterRow)
 {
     access(0, AccessType::Load, 0x4000); // top row copy
-    proto.dropL1Copy(0x4000, l1IdOf(0, false));
+    proto.dropL1Copy(0x4000, l1IdOf(0, false), proto.dir().entry(0x4000));
     // Core 0 is the only accessor; a bottom-row core would flip it
     // shared. Keep it private: same core re-hits, block stays put.
     access(0, AccessType::Load, 0x4000);
@@ -76,9 +76,9 @@ TEST_F(DnucaFixture, PrivateDataMigratesToRequesterRow)
 TEST_F(DnucaFixture, SharedDataReplicatesOncePerRow)
 {
     access(0, AccessType::Load, 0x4000);
-    proto.dropL1Copy(0x4000, l1IdOf(0, false));
+    proto.dropL1Copy(0x4000, l1IdOf(0, false), proto.dir().entry(0x4000));
     access(7, AccessType::Load, 0x4000); // flips shared, served top row
-    proto.dropL1Copy(0x4000, l1IdOf(7, false));
+    proto.dropL1Copy(0x4000, l1IdOf(7, false), proto.dir().entry(0x4000));
     access(7, AccessType::Load, 0x4000); // L2 hit -> bottom-row replica
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
@@ -91,7 +91,7 @@ TEST_F(DnucaFixture, CopiesNeverLeaveTheColumn)
 {
     for (CoreId c = 0; c < 8; ++c) {
         access(c, AccessType::Load, 0x4000);
-        proto.dropL1Copy(0x4000, l1IdOf(c, false));
+        proto.dropL1Copy(0x4000, l1IdOf(c, false), proto.dir().entry(0x4000));
         access(c, AccessType::Load, 0x4000);
     }
     const BlockInfo *e = proto.dir().find(0x4000);
@@ -108,9 +108,9 @@ TEST_F(DnucaFixture, CopiesNeverLeaveTheColumn)
 TEST_F(DnucaFixture, WriteCollapsesAllCopies)
 {
     access(0, AccessType::Load, 0x4000);
-    proto.dropL1Copy(0x4000, l1IdOf(0, false));
+    proto.dropL1Copy(0x4000, l1IdOf(0, false), proto.dir().entry(0x4000));
     access(7, AccessType::Load, 0x4000);
-    proto.dropL1Copy(0x4000, l1IdOf(7, false));
+    proto.dropL1Copy(0x4000, l1IdOf(7, false), proto.dir().entry(0x4000));
     access(7, AccessType::Load, 0x4000);
     access(3, AccessType::Store, 0x4000);
     const BlockInfo *e = proto.dir().find(0x4000);

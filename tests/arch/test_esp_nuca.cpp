@@ -165,7 +165,8 @@ TEST_F(EspFixture, VictimReclaimedByOwnerReturnsToPrivateBank)
     ASSERT_NE(victim_addr, 0u);
     // The owner (core 0) lost its L1 copy? ensure it did, then re-access.
     if (proto.l1(l1IdOf(0, false)).has(victim_addr))
-        proto.dropL1Copy(victim_addr, l1IdOf(0, false));
+        proto.dropL1Copy(victim_addr, l1IdOf(0, false),
+                         proto.dir().entry(victim_addr));
     access(0, AccessType::Load, victim_addr);
     // The victim moved back to the private partition as first-class.
     const auto [hs, hw] = org.findCopy(victim_home, victim_addr);

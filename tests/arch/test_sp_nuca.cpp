@@ -51,7 +51,7 @@ TEST_F(SpFixture, OwnerHitsItsPrivateBank)
 {
     access(3, AccessType::Load, 0x4000);
     // Drop the L1 copy so the next access reaches L2.
-    proto.dropL1Copy(0x4000, l1IdOf(3, false));
+    proto.dropL1Copy(0x4000, l1IdOf(3, false), proto.dir().entry(0x4000));
     EXPECT_EQ(access(3, AccessType::Load, 0x4000),
               ServiceLevel::LocalPrivateL2);
 }
@@ -79,8 +79,8 @@ TEST_F(SpFixture, SharedBlockServedFromHome)
 {
     access(3, AccessType::Load, 0x4000);
     access(5, AccessType::Load, 0x4000); // privatized to home
-    proto.dropL1Copy(0x4000, l1IdOf(3, false));
-    proto.dropL1Copy(0x4000, l1IdOf(5, false));
+    proto.dropL1Copy(0x4000, l1IdOf(3, false), proto.dir().entry(0x4000));
+    proto.dropL1Copy(0x4000, l1IdOf(5, false), proto.dir().entry(0x4000));
     const ServiceLevel lvl = access(6, AccessType::Load, 0x4000);
     // The home bank may be local to core 6's partition for this address
     // but must be one of the shared-serving levels.
@@ -93,8 +93,8 @@ TEST_F(SpFixture, StatusResetsWhenBlockLeavesChip)
     access(3, AccessType::Load, 0x4000);
     access(5, AccessType::Load, 0x4000); // shared now
     // Remove every on-chip copy.
-    proto.dropL1Copy(0x4000, l1IdOf(3, false));
-    proto.dropL1Copy(0x4000, l1IdOf(5, false));
+    proto.dropL1Copy(0x4000, l1IdOf(3, false), proto.dir().entry(0x4000));
+    proto.dropL1Copy(0x4000, l1IdOf(5, false), proto.dir().entry(0x4000));
     org.invalidateAllL2Copies(0x4000);
     EXPECT_FALSE(proto.dir().onChip(0x4000));
     // Next fill is private again.

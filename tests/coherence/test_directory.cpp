@@ -34,7 +34,7 @@ TEST_F(DirFixture, UnknownBlockIsOffChip)
 
 TEST_F(DirFixture, FirstAccessSetsPrivateOwner)
 {
-    EXPECT_FALSE(dir.noteAccess(kA, 2));
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 2));
     const BlockInfo *e = dir.find(kA);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->firstAccessor, 2u);
@@ -43,13 +43,13 @@ TEST_F(DirFixture, FirstAccessSetsPrivateOwner)
 
 TEST_F(DirFixture, SecondCoreFlipsShared)
 {
-    dir.noteAccess(kA, 2);
-    dir.addL1(kA, l1IdOf(2, false), true); // block is on chip
-    EXPECT_TRUE(dir.noteAccess(kA, 5)); // privatization reset
+    dir.noteAccess(dir.entry(kA), 2);
+    dir.addL1(dir.entry(kA), l1IdOf(2, false), true); // block is on chip
+    EXPECT_TRUE(dir.noteAccess(dir.entry(kA), 5)); // privatization reset
     EXPECT_TRUE(dir.find(kA)->sharedStatus);
     // Further accesses don't flip again.
-    EXPECT_FALSE(dir.noteAccess(kA, 6));
-    EXPECT_FALSE(dir.noteAccess(kA, 2));
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 6));
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 2));
 }
 
 TEST_F(DirFixture, OffChipBlockStartsOverAsPrivate)
@@ -57,24 +57,24 @@ TEST_F(DirFixture, OffChipBlockStartsOverAsPrivate)
     // With no on-chip copy, a second core's access is a fresh arrival,
     // not a privatization flip (paper 2.1: status holds only while the
     // block stays in the chip).
-    dir.noteAccess(kA, 2);
-    EXPECT_FALSE(dir.noteAccess(kA, 5));
+    dir.noteAccess(dir.entry(kA), 2);
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 5));
     EXPECT_FALSE(dir.find(kA)->sharedStatus);
     EXPECT_EQ(dir.find(kA)->firstAccessor, 5u);
 }
 
 TEST_F(DirFixture, SameCoreRepeatStaysPrivate)
 {
-    dir.noteAccess(kA, 2);
-    EXPECT_FALSE(dir.noteAccess(kA, 2));
+    dir.noteAccess(dir.entry(kA), 2);
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 2));
     EXPECT_FALSE(dir.find(kA)->sharedStatus);
 }
 
 TEST_F(DirFixture, L1HolderBits)
 {
-    dir.noteAccess(kA, 0);
-    dir.addL1(kA, 3, true);
-    dir.addL1(kA, 7, false);
+    dir.noteAccess(dir.entry(kA), 0);
+    dir.addL1(dir.entry(kA), 3, true);
+    dir.addL1(dir.entry(kA), 7, false);
     const BlockInfo *e = dir.find(kA);
     EXPECT_TRUE(e->hasL1Holder(3));
     EXPECT_TRUE(e->hasL1Holder(7));
@@ -85,9 +85,9 @@ TEST_F(DirFixture, L1HolderBits)
 
 TEST_F(DirFixture, RemoveOwnerL1FallsBackToMemory)
 {
-    dir.addL1(kA, 3, true);
-    dir.addL1(kA, 7, false);
-    dir.removeL1(kA, 3);
+    dir.addL1(dir.entry(kA), 3, true);
+    dir.addL1(dir.entry(kA), 7, false);
+    dir.removeL1(dir.entry(kA), 3);
     const BlockInfo *e = dir.find(kA);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->ownerKind, OwnerKind::Memory);
@@ -95,14 +95,14 @@ TEST_F(DirFixture, RemoveOwnerL1FallsBackToMemory)
 
 TEST_F(DirFixture, LastHolderRemovalReleasesBlock)
 {
-    dir.noteAccess(kA, 0);
-    dir.addL1(kA, 0, true);
-    dir.noteAccess(kA, 5); // shared now
-    dir.removeL1(kA, 0);
+    dir.noteAccess(dir.entry(kA), 0);
+    dir.addL1(dir.entry(kA), 0, true);
+    dir.noteAccess(dir.entry(kA), 5); // shared now
+    dir.removeL1(dir.entry(kA), 0);
     // Block left the chip: status resets lazily (paper 2.1)...
     EXPECT_FALSE(dir.onChip(kA));
     // ...so the next arrival is private again.
-    EXPECT_FALSE(dir.noteAccess(kA, 5));
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 5));
     EXPECT_FALSE(dir.find(kA)->sharedStatus);
     EXPECT_EQ(dir.find(kA)->firstAccessor, 5u);
 }
@@ -112,37 +112,37 @@ TEST_F(DirFixture, StatusSurvivesOnChipMoves)
     // A displaced private block becoming a victim passes through a
     // zero-copy window; the status must survive it (no demand access
     // intervenes).
-    dir.noteAccess(kA, 0);
-    dir.addL2(kA, 2, true);
-    dir.noteAccess(kA, 5); // shared
-    dir.removeL2(kA, 2);   // transient zero-copy window
-    dir.addL2(kA, 9, true);
+    dir.noteAccess(dir.entry(kA), 0);
+    dir.addL2(dir.entry(kA), 2, true);
+    dir.noteAccess(dir.entry(kA), 5); // shared
+    dir.removeL2(dir.entry(kA), 2);   // transient zero-copy window
+    dir.addL2(dir.entry(kA), 9, true);
     EXPECT_TRUE(dir.find(kA)->sharedStatus);
-    EXPECT_FALSE(dir.noteAccess(kA, 3)); // no double flip
+    EXPECT_FALSE(dir.noteAccess(dir.entry(kA), 3)); // no double flip
 }
 
 TEST_F(DirFixture, NoteAccessEntryAloneDoesNotPinChipResidence)
 {
     // An entry created by noteAccess only (no holders) reports off-chip.
-    dir.noteAccess(kA, 1);
+    dir.noteAccess(dir.entry(kA), 1);
     EXPECT_FALSE(dir.find(kA)->onChip());
 }
 
 TEST_F(DirFixture, L2CopyBookkeeping)
 {
-    dir.addL2(kA, 12, true);
+    dir.addL2(dir.entry(kA), 12, true);
     const BlockInfo *e = dir.find(kA);
     EXPECT_TRUE(e->hasL2Copy(12));
     EXPECT_EQ(e->ownerKind, OwnerKind::L2Bank);
     EXPECT_EQ(e->ownerIndex, 12u);
-    dir.removeL2(kA, 12);
+    dir.removeL2(dir.entry(kA), 12);
     EXPECT_FALSE(dir.onChip(kA));
     EXPECT_EQ(dir.find(kA)->ownerKind, OwnerKind::Memory);
 }
 
 TEST_F(DirFixture, MoveL2KeepsOwner)
 {
-    dir.addL2(kA, 3, true);
+    dir.addL2(dir.entry(kA), 3, true);
     dir.moveL2(kA, 3, 17);
     const BlockInfo *e = dir.find(kA);
     EXPECT_FALSE(e->hasL2Copy(3));
@@ -155,15 +155,15 @@ TEST_F(DirFixture, TokenConservationAcrossStates)
     // Memory-only: all tokens at memory.
     EXPECT_EQ(dir.tokensOf(kA, OwnerKind::Memory, 0), 64u);
     // One L1 owner: it holds everything.
-    dir.addL1(kA, 2, true);
+    dir.addL1(dir.entry(kA), 2, true);
     EXPECT_EQ(dir.tokensOf(kA, OwnerKind::L1, 2), 64u);
     EXPECT_EQ(dir.tokensOf(kA, OwnerKind::Memory, 0), 0u);
     // A second reader: owner keeps the remainder.
-    dir.addL1(kA, 5, false);
+    dir.addL1(dir.entry(kA), 5, false);
     EXPECT_EQ(dir.tokensOf(kA, OwnerKind::L1, 2), 63u);
     EXPECT_EQ(dir.tokensOf(kA, OwnerKind::L1, 5), 1u);
     // An L2 copy too: sums still 64.
-    dir.addL2(kA, 9, false);
+    dir.addL2(dir.entry(kA), 9, false);
     const std::uint32_t total = dir.tokensOf(kA, OwnerKind::L1, 2) +
                                 dir.tokensOf(kA, OwnerKind::L1, 5) +
                                 dir.tokensOf(kA, OwnerKind::L2Bank, 9);
@@ -173,19 +173,19 @@ TEST_F(DirFixture, TokenConservationAcrossStates)
 TEST_F(DirFixture, ConsistencyChecks)
 {
     EXPECT_TRUE(dir.consistent(kA));
-    dir.addL1(kA, 1, true);
-    dir.addL2(kA, 4, false);
+    dir.addL1(dir.entry(kA), 1, true);
+    dir.addL2(dir.entry(kA), 4, false);
     EXPECT_TRUE(dir.consistent(kA));
-    dir.setOwner(kA, OwnerKind::L2Bank, 4);
+    dir.setOwner(dir.entry(kA), OwnerKind::L2Bank, 4);
     EXPECT_TRUE(dir.consistent(kA));
 }
 
 TEST_F(DirFixture, PopulationTracksDistinctBlocks)
 {
-    dir.addL1(0x1000, 0, true);
-    dir.addL1(0x2000, 1, true);
+    dir.addL1(dir.entry(0x1000), 0, true);
+    dir.addL1(dir.entry(0x2000), 1, true);
     EXPECT_EQ(dir.population(), 2u);
-    dir.removeL1(0x1000, 0);
+    dir.removeL1(dir.entry(0x1000), 0);
     EXPECT_EQ(dir.population(), 1u);
 }
 
@@ -473,19 +473,20 @@ TEST_P(DirectoryDiff, MatchesInlineDirectory)
             case 0:
             case 1: {
                 const CoreId c = static_cast<CoreId>(rng.below(cfg.numCores));
-                EXPECT_EQ(dir.noteAccess(a, c), ref.noteAccess(a, c));
+                EXPECT_EQ(dir.noteAccess(dir.entry(a), c),
+                          ref.noteAccess(a, c));
                 break;
             }
             case 2: {
                 const L1Id id = pickIndex(rng, l1s);
                 const bool owner = rng.chance(0.3);
-                dir.addL1(a, id, owner);
+                dir.addL1(dir.entry(a), id, owner);
                 ref.addL1(a, id, owner);
                 break;
             }
             case 3:
                 if (const L1Id id = pickSet(l1, rng, l1s); id != l1s) {
-                    dir.removeL1(a, id);
+                    dir.removeL1(dir.entry(a), id);
                     ref.removeL1(a, id);
                 }
                 break;
@@ -493,7 +494,7 @@ TEST_P(DirectoryDiff, MatchesInlineDirectory)
                 const BankId b = pickIndex(rng, cfg.l2Banks);
                 if (!l2.test(b)) {
                     const bool owner = rng.chance(0.3);
-                    dir.addL2(a, b, owner);
+                    dir.addL2(dir.entry(a), b, owner);
                     ref.addL2(a, b, owner);
                 }
                 break;
@@ -501,7 +502,7 @@ TEST_P(DirectoryDiff, MatchesInlineDirectory)
             case 5:
                 if (const BankId b = pickSet(l2, rng, cfg.l2Banks);
                     b != cfg.l2Banks) {
-                    dir.removeL2(a, b);
+                    dir.removeL2(dir.entry(a), b);
                     ref.removeL2(a, b);
                 }
                 break;
@@ -527,7 +528,7 @@ TEST_P(DirectoryDiff, MatchesInlineDirectory)
                     kind = OwnerKind::L2Bank;
                     index = b;
                 }
-                dir.setOwner(a, kind, index);
+                dir.setOwner(dir.entry(a), kind, index);
                 ref.setOwner(a, kind, index);
                 break;
             }
@@ -581,10 +582,10 @@ TEST(DirectoryPool, EntriesStayPutAcrossGrowth)
     // An entry pointer survives any number of later inserts (index
     // rehashes and new pool chunks alike).
     Directory dir(SystemConfig{});
-    dir.addL1(0x40, 3, true);
+    dir.addL1(dir.entry(0x40), 3, true);
     const BlockInfo *first = dir.find(0x40);
     for (Addr a = 1; a < 5000; ++a)
-        dir.noteAccess(0x40 + a * 64, 1);
+        dir.noteAccess(dir.entry(0x40 + a * 64), 1);
     EXPECT_EQ(dir.find(0x40), first);
     EXPECT_TRUE(first->hasL1Holder(3));
 }

@@ -59,8 +59,8 @@ TEST(Fig2Flows, SpNucaPrivateHitBeatsSnucaFarHomeHit)
     const Addr a = farHomeAddr(sp.topo, sp.map, 0);
     sp.access(0, AccessType::Load, a);
     sh.access(0, AccessType::Load, a);
-    sp.proto.dropL1Copy(a, l1IdOf(0, false));
-    sh.proto.dropL1Copy(a, l1IdOf(0, false));
+    sp.proto.dropL1Copy(a, l1IdOf(0, false), sp.proto.dir().entry(a));
+    sh.proto.dropL1Copy(a, l1IdOf(0, false), sh.proto.dir().entry(a));
     const Cycle sp_lat = sp.access(0, AccessType::Load, a);
     const Cycle sh_lat = sh.access(0, AccessType::Load, a);
     EXPECT_LT(sp_lat, sh_lat);
