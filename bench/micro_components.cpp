@@ -42,7 +42,8 @@ BENCHMARK(BM_EmaRecord);
 void
 BM_CacheSetFind(benchmark::State &state)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 16; ++i) {
         BlockMeta m;
         m.addr = 0x1000 + i * 0x40;
@@ -68,7 +69,8 @@ BENCHMARK(BM_CacheSetFind);
 void
 BM_CacheSetFindMask(benchmark::State &state)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 16; ++i) {
         BlockMeta m;
         m.addr = 0x1000 + i * 0x40;
@@ -92,7 +94,8 @@ BENCHMARK(BM_CacheSetFindMask);
 void
 BM_CacheSetTouch(benchmark::State &state)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 16; ++i) {
         BlockMeta m;
         m.addr = 0x1000 + i * 0x40;
@@ -112,7 +115,8 @@ BENCHMARK(BM_CacheSetTouch);
 void
 BM_ProtectedLruChoose(benchmark::State &state)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 16; ++i) {
         BlockMeta m;
         m.addr = 0x1000 + i * 0x40;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "cache/cache_set.hpp"
 #include "cache/hit_rate_monitor.hpp"
@@ -44,7 +43,7 @@ class CacheBank
     CacheBank(const SystemConfig &cfg, BankId id,
               std::shared_ptr<ReplacementPolicy> policy,
               bool with_monitor = false)
-        : sets_(cfg.l2SetsPerBank(), CacheSet(cfg.l2Ways)),
+        : sets_(cfg.l2SetsPerBank(), cfg.l2Ways),
           tagLatency_(cfg.l2TagLatency), ways_(cfg.l2Ways),
           dataLatency_(cfg.l2Latency - cfg.l2TagLatency),
           policy_(std::move(policy)), id_(id)
@@ -58,10 +57,7 @@ class CacheBank
     }
 
     BankId id() const { return id_; }
-    std::uint32_t numSets() const
-    {
-        return static_cast<std::uint32_t>(sets_.size());
-    }
+    std::uint32_t numSets() const { return sets_.size(); }
 
     CacheSet &set(std::uint32_t s) { return sets_[s]; }
     const CacheSet &set(std::uint32_t s) const { return sets_[s]; }
@@ -125,7 +121,7 @@ class CacheBank
         return sets_[s].findAny(addr);
     }
 
-    const BlockMeta &
+    BlockMeta
     meta(std::uint32_t s, int way) const
     {
         return sets_[s].way(way);
@@ -207,7 +203,7 @@ class CacheBank
         const int way = policy_->chooseWay(cset, incoming.cls, context(s));
         if (way == kNoWay)
             return res;
-        const BlockMeta &victim = cset.way(way);
+        const BlockMeta victim = cset.way(way);
         if (victim.valid) {
             res.evicted = victim;
             policy_->onEvict(s, victim);
@@ -255,11 +251,11 @@ class CacheBank
     void
     disableWays(std::uint64_t mask)
     {
-        for (auto &s : sets_)
-            s.disableWays(mask);
-        disabledWays_ = sets_.empty() ? 0
-                                      : sets_.front().numWays() -
-                                            sets_.front().enabledWays();
+        for (std::uint32_t s = 0; s < numSets(); ++s)
+            sets_[s].disableWays(mask);
+        disabledWays_ = numSets() == 0 ? 0
+                                       : sets_[0].numWays() -
+                                             sets_[0].enabledWays();
     }
 
     /** Ways disabled per set by fault injection. */
@@ -294,8 +290,8 @@ class CacheBank
     countClass(BlockClass c) const
     {
         std::uint64_t n = 0;
-        for (const auto &s : sets_)
-            n += s.countIf(classBit(c));
+        for (std::uint32_t s = 0; s < numSets(); ++s)
+            n += sets_[s].countIf(classBit(c));
         return n;
     }
 
@@ -326,8 +322,8 @@ class CacheBank
     save(SnapshotWriter &w) const
     {
         w.u32(numSets());
-        for (const auto &s : sets_)
-            s.save(w);
+        for (std::uint32_t s = 0; s < numSets(); ++s)
+            sets_[s].save(w);
         w.b(monitor_ != nullptr);
         if (monitor_)
             monitor_->save(w);
@@ -345,8 +341,8 @@ class CacheBank
     {
         if (r.u32() != numSets())
             throw SnapshotError("bank set-count mismatch");
-        for (auto &s : sets_)
-            s.load(r);
+        for (std::uint32_t s = 0; s < numSets(); ++s)
+            sets_[s].load(r);
         if (r.b() != (monitor_ != nullptr))
             throw SnapshotError("bank monitor presence mismatch");
         if (monitor_)
@@ -373,7 +369,7 @@ class CacheBank
 
     // Probe-path state leads the object: tagProbe(), prefetchSet() and
     // find() read the first cache line, recordDemand() the second.
-    std::vector<CacheSet> sets_;
+    SetArray sets_;
     Cycle freeAt_ = 0;
     Cycle waitCycles_ = 0;
     std::uint64_t accesses_ = 0;

@@ -5,14 +5,19 @@
  * the tag comparison" and "LRU among the helping blocks" rules are
  * expressed) or through arbitrary predicates via the template overloads.
  *
- * Hot-path layout (DESIGN.md 5.10): the per-way tags live in one packed
- * contiguous array and the valid/class occupancy is kept as u64 way
- * bitmasks, so a probe is a branch-light scan over one or two cache
- * lines instead of a stride through per-way BlockMeta objects, and every
+ * Layout (DESIGN.md 5.10): each way's state is stored once. The block
+ * address lives only in a packed tag array (kInvalidAddr when the way is
+ * invalid), valid and class only as u64 way bitmasks, so a probe is a
+ * branch-light scan over one or two cache lines and every
  * class-population count (the paper's per-set `n`) is a popcount. The
- * full BlockMeta records stay as a parallel cold array; all mutation of
- * the mirrored fields (addr/valid/cls) goes through the set's mutators
- * so the hot arrays never go stale.
+ * remaining per-way fields — owner, dirty, owner token, reuse hits —
+ * sit in an 8-byte WayState record. way() assembles a BlockMeta by
+ * value from the three.
+ *
+ * A set's per-way arrays follow its fixed header in memory and are
+ * sized to the set's associativity, so a set occupies
+ * sizeof(CacheSet) + ways * (8 + 8 + 8) bytes; a SetArray holds a
+ * cache's sets back to back in one allocation.
  *
  * Replacement is accelerated further by a per-(set, class-mask) victim
  * candidate cache: lruAmong(mask) memoizes its answer and touch /
@@ -24,9 +29,13 @@
 #ifndef ESPNUCA_CACHE_CACHE_SET_HPP_
 #define ESPNUCA_CACHE_CACHE_SET_HPP_
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "cache/block.hpp"
 #include "common/log.hpp"
@@ -39,76 +48,92 @@ namespace espnuca {
 /** Way index sentinel. */
 inline constexpr int kNoWay = -1;
 
+/** The per-way fields that live in no tag array or mask (8 bytes). */
+struct WayState
+{
+    CoreId owner = kInvalidCore;
+    bool dirty = false;
+    bool hasOwnerToken = false;
+    std::uint8_t hits = 0; //!< saturating demand-hit count
+};
+
 /**
- * Set of `w` ways (w <= kMaxWays) in struct-of-arrays layout plus
+ * Set of `w` ways (1 <= w <= 64, the width of the way bitmasks) plus
  * per-way LRU age stamps (larger = more recent). Probes and victim
  * scans walk u64 candidate bitmasks over the packed tag/stamp arrays;
  * class counts are popcounts; recency updates are O(1).
  *
- * All per-way storage is inline (fixed-capacity arrays, not vectors):
- * a bank's sets live in one contiguous allocation, so a probe of a
- * cold set costs one memory stream instead of three dependent pointer
- * chases into separately heap-allocated tag/stamp/meta vectors.
+ * The object is a fixed header followed in memory by its per-way
+ * arrays — tags[w], stamps[w], WayState[w] — so it only exists inside a
+ * SetArray, which sizes each slot to the associativity. The header's
+ * occupancy masks come last, right before the tags, so a find() reads
+ * one contiguous run of masks and tags.
  */
 class CacheSet
 {
   public:
-    /** Inline per-way capacity. Every studied geometry uses <= 16 ways
-     * (Table 2: 16-way L2, 4-way L1); raise if a config ever needs
-     * more — the way bitmasks support up to 64. */
-    static constexpr std::uint32_t kMaxWays = 16;
+    /** Widest set the u64 way bitmasks can describe. */
+    static constexpr std::uint32_t kMaxWays = 64;
 
-    explicit CacheSet(std::uint32_t ways) : ways_(ways)
+    /** Bytes one set of `ways` ways occupies, header included. */
+    static constexpr std::size_t
+    bytesFor(std::uint32_t ways)
     {
-        ESP_ASSERT(ways > 0, "set needs at least one way");
-        ESP_ASSERT(ways <= kMaxWays, "raise CacheSet::kMaxWays");
-        wayMask_ = (std::uint64_t{1} << ways) - 1;
-        tag_.fill(kInvalidAddr);
-        // Initial recency order: way 0 is MRU, way w-1 is LRU — the
-        // same total order the recency-stack representation started
-        // with. Stamps stay unique forever: every touch takes a fresh
-        // value above every live stamp, every demote one below.
-        for (std::uint32_t i = 0; i < ways; ++i)
-            stamp_[i] = static_cast<std::int64_t>(ways - i);
-        hi_ = static_cast<std::int64_t>(ways);
-        lo_ = 1;
-        victim_.fill(kVictimUnknown);
+        return sizeof(CacheSet) +
+               ways * (sizeof(Addr) + sizeof(std::int64_t) +
+                       sizeof(WayState));
     }
+
+    CacheSet(const CacheSet &) = delete;
+    CacheSet &operator=(const CacheSet &) = delete;
 
     std::uint32_t numWays() const { return ways_; }
 
-    /** Read-only way metadata. All mutation goes through the mutators
-     *  below so the packed tag/valid/class arrays stay coherent. */
-    const BlockMeta &
+    /** A way's metadata, assembled from the tags, masks and WayState.
+     *  All mutation goes through the mutators below. */
+    BlockMeta
     way(int i) const
     {
         checkWay(i);
-        return meta_[static_cast<std::size_t>(i)];
+        const auto u = static_cast<std::uint32_t>(i);
+        const WayState &st = state()[u];
+        BlockMeta m;
+        m.addr = tags()[u];
+        m.valid = (validMask_ >> u) & 1u;
+        m.dirty = st.dirty;
+        m.cls = classOf(u);
+        m.owner = st.owner;
+        m.hasOwnerToken = st.hasOwnerToken;
+        m.hits = st.hits;
+        return m;
     }
 
-    // -- Mutators (keep the hot arrays in sync) ------------------------
+    // -- Mutators ------------------------------------------------------
 
     /**
      * Overwrite a way with `m` wholesale (fills, test seeding). Does
-     * not touch recency; pair with touch() for an MRU insertion.
+     * not touch recency; pair with touch() for an MRU insertion. An
+     * invalid `m` must carry no address or class: an invalid way has
+     * neither.
      */
     void
     assign(int w, const BlockMeta &m)
     {
         checkWay(w);
-        const std::uint64_t bit = std::uint64_t{1}
-                                  << static_cast<std::uint32_t>(w);
+        const auto u = static_cast<std::uint32_t>(w);
+        const std::uint64_t bit = std::uint64_t{1} << u;
         ESP_ASSERT(!m.valid || !(disabledMask_ & bit),
                    "assigning into a fault-disabled way");
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.valid) {
+        ESP_ASSERT(m.valid || (m.addr == kInvalidAddr &&
+                               m.cls == BlockClass::Private),
+                   "an invalid way holds no address or class");
+        if (validMask_ & bit) {
             validMask_ &= ~bit;
-            classWays_[clsIndex(cur.cls)] &= ~bit;
+            classWays_[clsIndex(classOf(u))] &= ~bit;
             dropVictimWay(w);
         }
-        cur = m;
-        tag_[static_cast<std::size_t>(w)] = m.valid ? m.addr
-                                                    : kInvalidAddr;
+        tags()[u] = m.addr;
+        state()[u] = {m.owner, m.dirty, m.hasOwnerToken, m.hits};
         if (m.valid) {
             validMask_ |= bit;
             classWays_[clsIndex(m.cls)] |= bit;
@@ -123,17 +148,7 @@ class CacheSet
     void
     clearWay(int w)
     {
-        checkWay(w);
-        const std::uint64_t bit = std::uint64_t{1}
-                                  << static_cast<std::uint32_t>(w);
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.valid) {
-            validMask_ &= ~bit;
-            classWays_[clsIndex(cur.cls)] &= ~bit;
-            dropVictimWay(w);
-        }
-        cur.clear();
-        tag_[static_cast<std::size_t>(w)] = kInvalidAddr;
+        assign(w, BlockMeta{});
     }
 
     /** Reclassify a valid way in place (e.g. victim -> shared). */
@@ -141,34 +156,32 @@ class CacheSet
     setClass(int w, BlockClass cls, CoreId owner)
     {
         checkWay(w);
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        ESP_ASSERT(cur.valid, "reclassifying an invalid way");
-        const std::uint64_t bit = std::uint64_t{1}
-                                  << static_cast<std::uint32_t>(w);
-        classWays_[clsIndex(cur.cls)] &= ~bit;
+        const auto u = static_cast<std::uint32_t>(w);
+        const std::uint64_t bit = std::uint64_t{1} << u;
+        ESP_ASSERT(validMask_ & bit, "reclassifying an invalid way");
+        classWays_[clsIndex(classOf(u))] &= ~bit;
         classWays_[clsIndex(cls)] |= bit;
-        cur.cls = cls;
-        cur.owner = owner;
+        state()[u].owner = owner;
         // Old-class memos may have pointed at this way; new-class memos
         // may now be beaten by this way's stamp. Drop both families.
         dropVictimWay(w);
         dropVictimsForClass(cls);
     }
 
-    /** Set the dirty bit (cold field; not mirrored). */
+    /** Set the dirty bit. */
     void
     setDirty(int w, bool v)
     {
         checkWay(w);
-        meta_[static_cast<std::size_t>(w)].dirty = v;
+        state()[static_cast<std::uint32_t>(w)].dirty = v;
     }
 
-    /** Set the owner-token bit (cold field; not mirrored). */
+    /** Set the owner-token bit. */
     void
     setOwnerToken(int w, bool v)
     {
         checkWay(w);
-        meta_[static_cast<std::size_t>(w)].hasOwnerToken = v;
+        state()[static_cast<std::uint32_t>(w)].hasOwnerToken = v;
     }
 
     /** Saturating demand-hit counter bump (reuse filter). */
@@ -176,28 +189,27 @@ class CacheSet
     bumpHits(int w)
     {
         checkWay(w);
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.hits < 255)
-            ++cur.hits;
+        WayState &st = state()[static_cast<std::uint32_t>(w)];
+        if (st.hits < 255)
+            ++st.hits;
     }
 
     // -- Search --------------------------------------------------------
 
     /**
      * Hint the hardware to pull in exactly the lines a find() reads —
-     * the occupancy masks and the first `ways` tags, which lead the
-     * object — ahead of a probe known to follow shortly. `ways` comes
-     * from the caller so the hint never waits on this set's own line.
-     * The metadata array is read only after a hit and is not fetched.
+     * the occupancy masks and the first `ways` tags right after them —
+     * ahead of a probe known to follow shortly. `ways` comes from the
+     * caller so the hint never waits on this set's own line.
      */
     void
     prefetchProbe(std::uint32_t ways) const
     {
         constexpr std::uintptr_t kLine = 64;
-        const auto end =
-            reinterpret_cast<std::uintptr_t>(tag_.data() + ways);
-        for (std::uintptr_t p = reinterpret_cast<std::uintptr_t>(this) &
-                                ~(kLine - 1);
+        const auto end = reinterpret_cast<std::uintptr_t>(tags() + ways);
+        for (std::uintptr_t p =
+                 reinterpret_cast<std::uintptr_t>(&validMask_) &
+                 ~(kLine - 1);
              p < end; p += kLine)
             __builtin_prefetch(reinterpret_cast<const void *>(p));
     }
@@ -207,14 +219,7 @@ class CacheSet
     find(Addr addr, ClassMask mask) const
     {
         ESP_PROF_SCOPE("set.find");
-        const Addr *tags = tag_.data();
-        for (std::uint64_t cand = waysMatching(mask); cand != 0;
-             cand &= cand - 1) {
-            const int i = __builtin_ctzll(cand);
-            if (tags[i] == addr)
-                return i;
-        }
-        return kNoWay;
+        return match(addr, waysMatching(mask));
     }
 
     /** Find a valid way holding `addr` and satisfying `pred`. */
@@ -222,12 +227,11 @@ class CacheSet
     int
     find(Addr addr, Pred &&pred) const
     {
-        const Addr *tags = tag_.data();
+        const Addr *t = tags();
         for (std::uint64_t cand = validMask_; cand != 0;
              cand &= cand - 1) {
             const int i = __builtin_ctzll(cand);
-            if (tags[i] == addr &&
-                pred(meta_[static_cast<std::size_t>(i)]))
+            if (t[i] == addr && pred(way(i)))
                 return i;
         }
         return kNoWay;
@@ -237,14 +241,7 @@ class CacheSet
     int
     findAny(Addr addr) const
     {
-        const Addr *tags = tag_.data();
-        for (std::uint64_t cand = validMask_; cand != 0;
-             cand &= cand - 1) {
-            const int i = __builtin_ctzll(cand);
-            if (tags[i] == addr)
-                return i;
-        }
-        return kNoWay;
+        return match(addr, validMask_);
     }
 
     // -- Recency -------------------------------------------------------
@@ -254,7 +251,7 @@ class CacheSet
     touch(int w)
     {
         checkWay(w);
-        stamp_[static_cast<std::size_t>(w)] = ++hi_;
+        stamps()[static_cast<std::uint32_t>(w)] = ++hi_;
         // Only a memoized victim can be invalidated by gaining recency;
         // anything else keeps every memo exact.
         if (victimWays_ & (std::uint64_t{1}
@@ -267,18 +264,17 @@ class CacheSet
     demote(int w)
     {
         checkWay(w);
-        stamp_[static_cast<std::size_t>(w)] = --lo_;
-        const BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.valid) {
+        const auto u = static_cast<std::uint32_t>(w);
+        stamps()[u] = --lo_;
+        if ((validMask_ >> u) & 1u) {
             // The way now holds the globally smallest stamp: it IS the
             // LRU of every mask matching its class. Repair in place.
-            const ClassMask cb = classBit(cur.cls);
+            const ClassMask cb = classBit(classOf(u));
             for (std::uint32_t m = 0; m < victim_.size(); ++m) {
                 if (m & cb)
                     victim_[m] = static_cast<std::int8_t>(w);
             }
-            victimWays_ |= std::uint64_t{1}
-                           << static_cast<std::uint32_t>(w);
+            victimWays_ |= std::uint64_t{1} << u;
         } else {
             dropVictimWay(w);
         }
@@ -289,7 +285,7 @@ class CacheSet
     invalidWay() const
     {
         const std::uint64_t inv = ~(validMask_ | disabledMask_) &
-                                  wayMask_;
+                                  wayMask();
         return inv != 0 ? __builtin_ctzll(inv) : kNoWay;
     }
 
@@ -305,11 +301,8 @@ class CacheSet
     void
     disableWays(std::uint64_t mask)
     {
-        mask &= wayMask_;
-        for (std::uint32_t i = 0; i < numWays(); ++i)
-            if ((mask >> i) & 1u)
-                ESP_ASSERT(!meta_[i].valid,
-                           "disabling a way that holds data");
+        mask &= wayMask();
+        ESP_ASSERT(!(mask & validMask_), "disabling a way that holds data");
         disabledMask_ |= mask;
     }
 
@@ -339,17 +332,7 @@ class CacheSet
         const std::int8_t cached = victim_[mask];
         if (cached != kVictimUnknown)
             return cached;
-        int best = kNoWay;
-        std::int64_t best_stamp = 0;
-        for (std::uint64_t cand = waysMatching(mask); cand != 0;
-             cand &= cand - 1) {
-            const int i = __builtin_ctzll(cand);
-            if (best == kNoWay ||
-                stamp_[static_cast<std::size_t>(i)] < best_stamp) {
-                best = i;
-                best_stamp = stamp_[static_cast<std::size_t>(i)];
-            }
-        }
+        const int best = lruOf(waysMatching(mask));
         if (best != kNoWay) {
             victim_[mask] = static_cast<std::int8_t>(best);
             victimWays_ |= std::uint64_t{1}
@@ -363,20 +346,7 @@ class CacheSet
     int
     lruAmong(Pred &&pred) const
     {
-        int best = kNoWay;
-        std::int64_t best_stamp = 0;
-        for (std::uint64_t cand = validMask_; cand != 0;
-             cand &= cand - 1) {
-            const int i = __builtin_ctzll(cand);
-            if (!pred(meta_[static_cast<std::size_t>(i)]))
-                continue;
-            if (best == kNoWay ||
-                stamp_[static_cast<std::size_t>(i)] < best_stamp) {
-                best = i;
-                best_stamp = stamp_[static_cast<std::size_t>(i)];
-            }
-        }
-        return best;
+        return lruOf(waysSatisfying(pred));
     }
 
     /** Globally LRU valid way, or kNoWay when the set is empty. */
@@ -399,23 +369,15 @@ class CacheSet
     std::uint32_t
     countIf(Pred &&pred) const
     {
-        std::uint32_t n = 0;
-        for (std::uint64_t cand = validMask_; cand != 0;
-             cand &= cand - 1) {
-            if (pred(meta_[static_cast<std::size_t>(
-                    __builtin_ctzll(cand))]))
-                ++n;
-        }
-        return n;
+        return static_cast<std::uint32_t>(
+            __builtin_popcountll(waysSatisfying(pred)));
     }
 
     /** Number of valid helping blocks (the paper's per-set `n` counter). */
     std::uint32_t
     helpingCount() const
     {
-        return static_cast<std::uint32_t>(__builtin_popcountll(
-            classWays_[clsIndex(BlockClass::Replica)] |
-            classWays_[clsIndex(BlockClass::Victim)]));
+        return countIf(kMatchHelping);
     }
 
     /** Recency position of a way: 0 = MRU .. w-1 = LRU (testing aid). */
@@ -423,10 +385,10 @@ class CacheSet
     recencyOf(int w) const
     {
         checkWay(w);
-        const std::int64_t s = stamp_[static_cast<std::size_t>(w)];
+        const std::int64_t s = stamps()[static_cast<std::uint32_t>(w)];
         std::uint32_t rank = 0;
         for (std::uint32_t i = 0; i < ways_; ++i)
-            if (stamp_[i] > s)
+            if (stamps()[i] > s)
                 ++rank;
         return rank;
     }
@@ -442,10 +404,12 @@ class CacheSet
     // -- Snapshot/restore ----------------------------------------------
 
     /**
-     * Serialize the full logical state: tags, occupancy masks, recency
-     * stamps and metadata. The victim memo cache is NOT serialized —
-     * it is a pure memoization of stamp_/classWays_ and lruAmong()
-     * recomputes identical answers from the restored arrays.
+     * Serialize the full logical state: occupancy masks, recency stamps
+     * and every way's BlockMeta fields. The per-way addr/valid/cls bytes
+     * are rebuilt from the tags and masks, which hold them; load()
+     * checks them against the same. The victim memo cache is NOT
+     * serialized — it is a pure memoization of the stamps and class
+     * masks, and lruAmong() recomputes identical answers from them.
      */
     void
     save(SnapshotWriter &w) const
@@ -458,9 +422,9 @@ class CacheSet
         w.i64(hi_);
         w.i64(lo_);
         for (std::uint32_t i = 0; i < ways_; ++i) {
-            const BlockMeta &m = meta_[i];
-            w.u64(tag_[i]);
-            w.i64(stamp_[i]);
+            const BlockMeta m = way(static_cast<int>(i));
+            w.u64(tags()[i]);
+            w.i64(stamps()[i]);
             w.u64(m.addr);
             w.b(m.valid);
             w.b(m.dirty);
@@ -477,34 +441,96 @@ class CacheSet
         if (r.u32() != ways_)
             throw SnapshotError("cache set way-count mismatch");
         validMask_ = r.u64();
-        for (auto &cw : classWays_)
+        std::uint64_t classed = 0;
+        for (auto &cw : classWays_) {
             cw = r.u64();
+            if (cw & classed)
+                throw SnapshotError("cache set way in two class masks");
+            classed |= cw;
+        }
         disabledMask_ = r.u64();
+        if (classed != validMask_ || (validMask_ & ~wayMask()) ||
+            (disabledMask_ & ~wayMask()) || (validMask_ & disabledMask_))
+            throw SnapshotError("cache set masks disagree");
         hi_ = r.i64();
         lo_ = r.i64();
         for (std::uint32_t i = 0; i < ways_; ++i) {
-            BlockMeta &m = meta_[i];
-            tag_[i] = r.u64();
-            stamp_[i] = r.i64();
-            m.addr = r.u64();
-            m.valid = r.b();
-            m.dirty = r.b();
-            m.cls = static_cast<BlockClass>(r.u8());
-            m.owner = static_cast<CoreId>(r.u32());
-            m.hasOwnerToken = r.b();
-            m.hits = r.u8();
+            tags()[i] = r.u64();
+            stamps()[i] = r.i64();
+            const Addr addr = r.u64();
+            const bool valid = r.b();
+            WayState &st = state()[i];
+            st.dirty = r.b();
+            const std::uint8_t cls = r.u8();
+            st.owner = static_cast<CoreId>(r.u32());
+            st.hasOwnerToken = r.b();
+            st.hits = r.u8();
+            const bool live = (validMask_ >> i) & 1u;
+            if (valid != live || addr != tags()[i] ||
+                (!live && addr != kInvalidAddr) ||
+                cls != static_cast<std::uint8_t>(classOf(i)))
+                throw SnapshotError(
+                    "cache set way disagrees with its tag or masks");
         }
         victim_.fill(kVictimUnknown);
         victimWays_ = 0;
     }
 
   private:
+    friend class SetArray;
     static constexpr std::int8_t kVictimUnknown = -1;
+
+    /** Only SetArray builds sets, in slots of bytesFor(ways) bytes. */
+    explicit CacheSet(std::uint32_t ways) : ways_(ways)
+    {
+        ESP_ASSERT(ways > 0, "set needs at least one way");
+        ESP_ASSERT(ways <= kMaxWays, "way bitmasks hold at most 64 ways");
+        std::fill_n(tags(), ways, kInvalidAddr);
+        // Initial recency order: way 0 is MRU, way w-1 is LRU — the
+        // same total order the recency-stack representation started
+        // with. Stamps stay unique forever: every touch takes a fresh
+        // value above every live stamp, every demote one below.
+        for (std::uint32_t i = 0; i < ways; ++i)
+            stamps()[i] = static_cast<std::int64_t>(ways - i);
+        hi_ = static_cast<std::int64_t>(ways);
+        lo_ = 1;
+        std::fill_n(state(), ways, WayState{});
+        victim_.fill(kVictimUnknown);
+    }
 
     static std::uint32_t
     clsIndex(BlockClass c)
     {
         return static_cast<std::uint32_t>(c);
+    }
+
+    // The per-way arrays trail the header: tags, then stamps, then
+    // WayState records.
+    Addr *tags() { return reinterpret_cast<Addr *>(this + 1); }
+    const Addr *
+    tags() const
+    {
+        return reinterpret_cast<const Addr *>(this + 1);
+    }
+    std::int64_t *
+    stamps()
+    {
+        return reinterpret_cast<std::int64_t *>(tags() + ways_);
+    }
+    const std::int64_t *
+    stamps() const
+    {
+        return reinterpret_cast<const std::int64_t *>(tags() + ways_);
+    }
+    WayState *
+    state()
+    {
+        return reinterpret_cast<WayState *>(stamps() + ways_);
+    }
+    const WayState *
+    state() const
+    {
+        return reinterpret_cast<const WayState *>(stamps() + ways_);
     }
 
     void
@@ -513,6 +539,52 @@ class CacheSet
         ESP_ASSERT(w >= 0 && static_cast<std::uint32_t>(w) < numWays(),
                    "way out of range");
         (void)w;
+    }
+
+    std::uint64_t
+    wayMask() const
+    {
+        return ~std::uint64_t{0} >> (64 - ways_);
+    }
+
+    /** Class of way `i`, read from the class masks (Private when the
+     *  way is invalid, as a cleared BlockMeta has it). */
+    BlockClass
+    classOf(std::uint32_t i) const
+    {
+        return static_cast<BlockClass>(
+            ((classWays_[1] >> i) & 1u) | (((classWays_[2] >> i) & 1u) << 1) |
+            (((classWays_[3] >> i) & 1u) * 3));
+    }
+
+    /** First way in `cand` whose tag is `addr`, or kNoWay. */
+    int
+    match(Addr addr, std::uint64_t cand) const
+    {
+        const Addr *t = tags();
+        for (; cand != 0; cand &= cand - 1) {
+            const int i = __builtin_ctzll(cand);
+            if (t[i] == addr)
+                return i;
+        }
+        return kNoWay;
+    }
+
+    /** The way in `cand` with the smallest stamp, or kNoWay. */
+    int
+    lruOf(std::uint64_t cand) const
+    {
+        const std::int64_t *st = stamps();
+        int best = kNoWay;
+        std::int64_t best_stamp = 0;
+        for (; cand != 0; cand &= cand - 1) {
+            const int i = __builtin_ctzll(cand);
+            if (best == kNoWay || st[i] < best_stamp) {
+                best = i;
+                best_stamp = st[i];
+            }
+        }
+        return best;
     }
 
     /** Valid ways whose class is in `mask` (the tag-comparison filter). */
@@ -528,6 +600,21 @@ class CacheSet
             r |= classWays_[clsIndex(BlockClass::Replica)];
         if (mask & kMatchVictim)
             r |= classWays_[clsIndex(BlockClass::Victim)];
+        return r;
+    }
+
+    /** Valid ways whose BlockMeta satisfies `pred`. */
+    template <typename Pred>
+    std::uint64_t
+    waysSatisfying(Pred &pred) const
+    {
+        std::uint64_t r = 0;
+        for (std::uint64_t cand = validMask_; cand != 0;
+             cand &= cand - 1) {
+            const int i = __builtin_ctzll(cand);
+            if (pred(way(i)))
+                r |= std::uint64_t{1} << static_cast<std::uint32_t>(i);
+        }
         return r;
     }
 
@@ -561,30 +648,72 @@ class CacheSet
         victimWays_ = ways;
     }
 
-    // Hot arrays: occupancy bitmasks, then packed tags (kInvalidAddr
-    // when the way is invalid so a probe needs no separate valid
-    // check), then stamps. A find() reads the masks and tags only, and
-    // they lead the object so prefetchProbe() covers them in the fewest
-    // lines. Inline so the whole set is one contiguous object (see
-    // class doc).
-    std::uint64_t validMask_ = 0;
-    std::array<std::uint64_t, 4> classWays_{}; //!< valid ways per class
-    std::array<Addr, kMaxWays> tag_;
-    std::uint32_t ways_ = 0;
-    std::uint64_t wayMask_ = 0;
-    std::uint64_t disabledMask_ = 0; //!< fault-disabled ways (bit per way)
-    std::array<std::int64_t, kMaxWays> stamp_{}; //!< LRU age, larger = newer
+    // Cold header: recency bookkeeping, the victim memos, fault fence.
     std::int64_t hi_ = 0;             //!< last MRU stamp handed out
     std::int64_t lo_ = 0;             //!< next LRU stamp is lo_ - 1
-
     // Victim candidate cache, one memo per ClassMask value; lazily
     // filled by lruAmong(mask) and repaired by the mutators (mutable:
     // memoization only, never observable).
     mutable std::array<std::int8_t, kMatchAny + 1> victim_;
     mutable std::uint64_t victimWays_ = 0; //!< ways some memo points at
+    std::uint64_t disabledMask_ = 0; //!< fault-disabled ways (bit per way)
+    std::uint32_t ways_ = 0;
+    // Probe header, last so the tags follow it directly: a find()
+    // reads these masks and then the tags, one contiguous run.
+    std::uint64_t validMask_ = 0;
+    std::array<std::uint64_t, 4> classWays_{}; //!< valid ways per class
+};
 
-    // Cold per-way metadata; addr/valid/cls mirror the hot arrays.
-    std::array<BlockMeta, kMaxWays> meta_{};
+static_assert(sizeof(CacheSet) % alignof(Addr) == 0 &&
+                  sizeof(WayState) == 8,
+              "per-way arrays must start aligned after the header");
+
+/**
+ * A cache's sets, back to back in one allocation whose first set starts
+ * on a 64-byte line. Each slot is CacheSet::bytesFor(ways) bytes, so a
+ * 4-way L1 set costs only its four ways.
+ */
+class SetArray
+{
+  public:
+    SetArray(std::uint32_t sets, std::uint32_t ways)
+        : stride_(CacheSet::bytesFor(ways)), size_(sets),
+          // Aligned by hand inside a plain allocation: an aligned
+          // operator new splits off remainder chunks that fragment the
+          // heap across a process's successive Systems.
+          raw_(new std::byte[stride_ * sets + kLine - 1]),
+          base_(raw_.get() + (-reinterpret_cast<std::uintptr_t>(raw_.get()) &
+                              (kLine - 1)))
+    {
+        for (std::uint32_t s = 0; s < sets; ++s)
+            ::new (base_ + s * stride_) CacheSet(ways);
+    }
+
+    std::uint32_t size() const { return size_; }
+
+    CacheSet &
+    operator[](std::uint32_t s)
+    {
+        return *std::launder(
+            reinterpret_cast<CacheSet *>(base_ + s * stride_));
+    }
+    const CacheSet &
+    operator[](std::uint32_t s) const
+    {
+        return *std::launder(
+            reinterpret_cast<const CacheSet *>(base_ + s * stride_));
+    }
+
+  private:
+    static constexpr std::uintptr_t kLine = 64;
+
+    // Sets are trivially destructible, so freeing the storage ends them.
+    static_assert(std::is_trivially_destructible_v<CacheSet>);
+
+    std::size_t stride_;
+    std::uint32_t size_;
+    std::unique_ptr<std::byte[]> raw_;
+    std::byte *base_;
 };
 
 } // namespace espnuca

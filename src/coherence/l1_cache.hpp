@@ -9,7 +9,6 @@
 #define ESPNUCA_COHERENCE_L1_CACHE_HPP_
 
 #include <cstdint>
-#include <vector>
 
 #include "cache/cache_set.hpp"
 #include "common/bitops.hpp"
@@ -41,7 +40,7 @@ class L1Cache
     explicit L1Cache(const SystemConfig &cfg)
         : blockOffset_(cfg.blockOffsetBits()),
           indexBits_(exactLog2(cfg.l1Sets())),
-          sets_(cfg.l1Sets(), CacheSet(cfg.l1Ways))
+          sets_(cfg.l1Sets(), cfg.l1Ways)
     {
     }
 
@@ -61,7 +60,7 @@ class L1Cache
 
     bool has(Addr a) const { return lookup(a) != kNoWay; }
 
-    const BlockMeta &
+    BlockMeta
     meta(Addr a, int way) const
     {
         return sets_[setIndex(a)].way(way);
@@ -135,8 +134,8 @@ class L1Cache
     population() const
     {
         std::uint64_t n = 0;
-        for (const auto &s : sets_)
-            n += s.countIf([](const BlockMeta &) { return true; });
+        for (std::uint32_t s = 0; s < sets_.size(); ++s)
+            n += sets_[s].countIf(kMatchAny);
         return n;
     }
 
@@ -148,9 +147,9 @@ class L1Cache
     void
     save(SnapshotWriter &w) const
     {
-        w.u32(static_cast<std::uint32_t>(sets_.size()));
-        for (const auto &s : sets_)
-            s.save(w);
+        w.u32(sets_.size());
+        for (std::uint32_t s = 0; s < sets_.size(); ++s)
+            sets_[s].save(w);
         w.u64(fills_);
         w.u64(invalidations_);
     }
@@ -160,8 +159,8 @@ class L1Cache
     {
         if (r.u32() != sets_.size())
             throw SnapshotError("L1 set-count mismatch");
-        for (auto &s : sets_)
-            s.load(r);
+        for (std::uint32_t s = 0; s < sets_.size(); ++s)
+            sets_[s].load(r);
         fills_ = r.u64();
         invalidations_ = r.u64();
     }
@@ -169,7 +168,7 @@ class L1Cache
   private:
     unsigned blockOffset_;
     unsigned indexBits_;
-    std::vector<CacheSet> sets_;
+    SetArray sets_;
     std::uint64_t fills_ = 0;
     std::uint64_t invalidations_ = 0;
 };

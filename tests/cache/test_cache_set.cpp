@@ -22,7 +22,8 @@ makeBlock(Addr a, BlockClass cls = BlockClass::Private)
 
 TEST(CacheSet, FindsByAddressAndPredicate)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     s.assign(0, makeBlock(0x100, BlockClass::Private));
     s.assign(1, makeBlock(0x100, BlockClass::Shared));
     const int priv = s.find(0x100, [](const BlockMeta &m) {
@@ -39,7 +40,8 @@ TEST(CacheSet, FindsByAddressAndPredicate)
 
 TEST(CacheSet, InvalidBlocksNeverMatch)
 {
-    CacheSet s(2);
+    SetArray s_sets(1, 2);
+    CacheSet &s = s_sets[0];
     s.assign(0, makeBlock(0x40));
     s.clearWay(0);
     EXPECT_EQ(s.findAny(0x40), kNoWay);
@@ -47,7 +49,8 @@ TEST(CacheSet, InvalidBlocksNeverMatch)
 
 TEST(CacheSet, TouchMovesToMru)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 4; ++i)
         s.assign(i, makeBlock(0x40 * (i + 1)));
     s.touch(2);
@@ -59,7 +62,8 @@ TEST(CacheSet, TouchMovesToMru)
 
 TEST(CacheSet, LruWayIsLeastRecent)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 4; ++i) {
         s.assign(i, makeBlock(0x40 * (i + 1)));
         s.touch(i);
@@ -71,7 +75,8 @@ TEST(CacheSet, LruWayIsLeastRecent)
 
 TEST(CacheSet, LruAmongFiltersByClass)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     s.assign(0, makeBlock(0x40, BlockClass::Private));
     s.assign(1, makeBlock(0x80, BlockClass::Replica));
     s.assign(2, makeBlock(0xC0, BlockClass::Private));
@@ -88,7 +93,8 @@ TEST(CacheSet, LruAmongFiltersByClass)
 
 TEST(CacheSet, InvalidWayFoundFirst)
 {
-    CacheSet s(3);
+    SetArray s_sets(1, 3);
+    CacheSet &s = s_sets[0];
     s.assign(0, makeBlock(0x40));
     s.assign(2, makeBlock(0x80));
     EXPECT_EQ(s.invalidWay(), 1);
@@ -98,7 +104,8 @@ TEST(CacheSet, InvalidWayFoundFirst)
 
 TEST(CacheSet, HelpingCountMatchesClasses)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     EXPECT_EQ(s.helpingCount(), 0u);
     s.assign(0, makeBlock(0x40, BlockClass::Replica));
     s.assign(1, makeBlock(0x80, BlockClass::Victim));
@@ -108,7 +115,8 @@ TEST(CacheSet, HelpingCountMatchesClasses)
 
 TEST(CacheSet, DemoteMakesWayLru)
 {
-    CacheSet s(3);
+    SetArray s_sets(1, 3);
+    CacheSet &s = s_sets[0];
     for (int i = 0; i < 3; ++i) {
         s.assign(i, makeBlock(0x40 * (i + 1)));
         s.touch(i);
@@ -119,7 +127,8 @@ TEST(CacheSet, DemoteMakesWayLru)
 
 TEST(CacheSet, CountIf)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     s.assign(0, makeBlock(0x40, BlockClass::Private));
     s.assign(1, makeBlock(0x80, BlockClass::Private));
     s.assign(2, makeBlock(0xC0, BlockClass::Shared));
@@ -127,6 +136,19 @@ TEST(CacheSet, CountIf)
                   return m.cls == BlockClass::Private;
               }),
               2u);
+}
+
+TEST(CacheSet, SlotSizeFollowsAssociativity)
+{
+    // A 96-byte header plus 24 bytes per way (tag, stamp, WayState):
+    // Table 2's 4-way L1 set and 16-way L2 set.
+    EXPECT_EQ(CacheSet::bytesFor(4), 192u);
+    EXPECT_EQ(CacheSet::bytesFor(16), 480u);
+    SetArray sets(3, 4);
+    EXPECT_EQ(reinterpret_cast<const char *>(&sets[1]) -
+                  reinterpret_cast<const char *>(&sets[0]),
+              192);
+    EXPECT_EQ(sets[2].numWays(), 4u);
 }
 
 } // namespace

@@ -7,8 +7,8 @@
  * extended with the same mutator API the SoA set exposes so one random
  * driver can run both in lockstep. Every observable — find under every
  * class mask, LRU victim under every class mask, class counts, invalid
- * way selection, recency ranks, helping count and the metadata itself —
- * must agree after every operation, across randomized
+ * way selection, recency ranks, helping count and the metadata of every
+ * way, valid or not — must agree after every operation, across randomized
  * access/evict/reclassify sequences that include fault-disabled way
  * plans (the acceptance dead-way plan `ways=*:0x3` among them).
  *
@@ -252,17 +252,18 @@ expectEquivalent(const CacheSet &soa, const LegacyCacheSet &ref)
         const int wi = static_cast<int>(w);
         EXPECT_EQ(soa.recencyOf(wi), ref.recencyOf(wi));
         EXPECT_EQ(soa.wayDisabled(wi), ref.wayDisabled(wi));
-        const BlockMeta &a = soa.way(wi);
+        // Invalid ways too: the SoA set rebuilds an invalid way's
+        // addr/cls from its tag and masks, and must give the cleared
+        // BlockMeta the reference holds (snapshots write these bytes).
+        const BlockMeta a = soa.way(wi);
         const BlockMeta &b = ref.way(wi);
         EXPECT_EQ(a.valid, b.valid);
-        if (a.valid && b.valid) {
-            EXPECT_EQ(a.addr, b.addr);
-            EXPECT_EQ(a.cls, b.cls);
-            EXPECT_EQ(a.owner, b.owner);
-            EXPECT_EQ(a.dirty, b.dirty);
-            EXPECT_EQ(a.hasOwnerToken, b.hasOwnerToken);
-            EXPECT_EQ(a.hits, b.hits);
-        }
+        EXPECT_EQ(a.addr, b.addr);
+        EXPECT_EQ(a.cls, b.cls);
+        EXPECT_EQ(a.owner, b.owner);
+        EXPECT_EQ(a.dirty, b.dirty);
+        EXPECT_EQ(a.hasOwnerToken, b.hasOwnerToken);
+        EXPECT_EQ(a.hits, b.hits);
     }
 }
 
@@ -275,7 +276,8 @@ void
 runLockstep(std::uint32_t ways, std::uint64_t disabled,
             std::uint32_t ops, std::uint32_t seed)
 {
-    CacheSet soa(ways);
+    SetArray soa_sets(1, ways);
+    CacheSet &soa = soa_sets[0];
     LegacyCacheSet ref(ways);
     if (disabled != 0) {
         soa.disableWays(disabled);
@@ -398,6 +400,13 @@ TEST(CacheSetLayout, LockstepRandom4Way)
     runLockstep(4, 0, 2000, 3);
 }
 
+TEST(CacheSetLayout, LockstepRandomNarrowAndMidWays)
+{
+    runLockstep(1, 0, 2000, 7);
+    runLockstep(2, 0, 2000, 8);
+    runLockstep(8, 0, 2000, 9);
+}
+
 TEST(CacheSetLayout, LockstepAcceptanceDeadWayPlan)
 {
     // The acceptance fault plan disables ways 0 and 1 in every set of a
@@ -416,7 +425,8 @@ TEST(CacheSetLayout, VictimMemoSurvivesTargetedEdits)
     // Direct exercise of the repair rules: memoize, then touch the
     // memoized victim (drop), demote another way (repair-in-place),
     // assign over a way (drop + class invalidation).
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     LegacyCacheSet r(4);
     BlockMeta m;
     m.valid = true;

@@ -47,7 +47,8 @@ ctx(SetCategory cat, std::uint32_t nmax, std::uint32_t set = 0)
 
 TEST(FlatLru, PrefersInvalidWay)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 3, BlockClass::Private);
     FlatLru p;
     EXPECT_EQ(p.chooseWay(s, BlockClass::Shared, ctx({}, 0)), 3);
@@ -55,7 +56,8 @@ TEST(FlatLru, PrefersInvalidWay)
 
 TEST(FlatLru, EvictsGlobalLruRegardlessOfClass)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 1, BlockClass::Replica);
     fillSet(s, 1, 3, BlockClass::Private);
     FlatLru p;
@@ -68,7 +70,8 @@ TEST(FlatLru, EvictsGlobalLruRegardlessOfClass)
 
 TEST(StaticPartition, EnforcesQuotaPerSide)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 12, BlockClass::Private);
     fillSet(s, 12, 4, BlockClass::Shared);
     StaticPartitionLru p(12, 16);
@@ -80,7 +83,8 @@ TEST(StaticPartition, EnforcesQuotaPerSide)
 
 TEST(StaticPartition, UnderQuotaTakesInvalidFirst)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 8, BlockClass::Private);
     StaticPartitionLru p(12, 16);
     EXPECT_EQ(p.chooseWay(s, BlockClass::Private, ctx({}, 0)), 8);
@@ -88,7 +92,8 @@ TEST(StaticPartition, UnderQuotaTakesInvalidFirst)
 
 TEST(StaticPartition, UnderQuotaReclaimsOverQuotaSide)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     // 14 private (over the 12 quota), 2 shared, set full.
     fillSet(s, 0, 14, BlockClass::Private);
     fillSet(s, 14, 2, BlockClass::Shared);
@@ -101,7 +106,8 @@ TEST(StaticPartition, UnderQuotaReclaimsOverQuotaSide)
 
 TEST(ProtectedLru, RefusesHelpingAtReferenceSets)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     ProtectedLru p;
     EXPECT_EQ(p.chooseWay(s, BlockClass::Replica,
                           ctx(SetCategory::Reference, 4)),
@@ -113,7 +119,8 @@ TEST(ProtectedLru, RefusesHelpingAtReferenceSets)
 
 TEST(ProtectedLru, ReferenceSetsStillServeFirstClass)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 4, BlockClass::Private);
     ProtectedLru p;
     EXPECT_EQ(p.chooseWay(s, BlockClass::Private,
@@ -123,7 +130,8 @@ TEST(ProtectedLru, ReferenceSetsStillServeFirstClass)
 
 TEST(ProtectedLru, RefusesHelpingWhenNmaxZero)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     ProtectedLru p;
     EXPECT_EQ(p.chooseWay(s, BlockClass::Replica,
                           ctx(SetCategory::Conventional, 0)),
@@ -132,7 +140,8 @@ TEST(ProtectedLru, RefusesHelpingWhenNmaxZero)
 
 TEST(ProtectedLru, HelpingUnderLimitUsesGlobalLru)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 4, BlockClass::Private);
     ProtectedLru p;
     // n = 0 < nmax = 2: global LRU (a first-class block) is chosen.
@@ -143,7 +152,8 @@ TEST(ProtectedLru, HelpingUnderLimitUsesGlobalLru)
 
 TEST(ProtectedLru, HelpingAtLimitReplacesHelpingLru)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 2, BlockClass::Replica);
     fillSet(s, 2, 2, BlockClass::Private);
     ProtectedLru p;
@@ -159,7 +169,8 @@ TEST(ProtectedLru, HelpingAtLimitReplacesHelpingLru)
 
 TEST(ProtectedLru, FirstClassOverLimitTrimsHelping)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 3, BlockClass::Replica);
     fillSet(s, 3, 1, BlockClass::Private);
     ProtectedLru p;
@@ -171,7 +182,8 @@ TEST(ProtectedLru, FirstClassOverLimitTrimsHelping)
 
 TEST(ProtectedLru, FirstClassPrefersInvalid)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 3, BlockClass::Replica);
     ProtectedLru p;
     EXPECT_EQ(p.chooseWay(s, BlockClass::Private,
@@ -181,7 +193,8 @@ TEST(ProtectedLru, FirstClassPrefersInvalid)
 
 TEST(ProtectedLru, ExplorerAcceptsOneMore)
 {
-    CacheSet s(4);
+    SetArray s_sets(1, 4);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 2, BlockClass::Replica);
     fillSet(s, 2, 2, BlockClass::Private);
     ProtectedLru p;
@@ -221,7 +234,8 @@ class ProtectedLruSweep
 TEST_P(ProtectedLruSweep, HelpingCountBounded)
 {
     const std::uint32_t nmax = GetParam();
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     ProtectedLru p;
     std::uint64_t addr = 0x4000;
     for (int i = 0; i < 600; ++i) {
@@ -274,7 +288,8 @@ TEST(ShadowTags, LearnsTowardSharedUtility)
 
 TEST(ShadowTags, QuotaEnforcedAtChooseWay)
 {
-    CacheSet s(16);
+    SetArray s_sets(1, 16);
+    CacheSet &s = s_sets[0];
     fillSet(s, 0, 8, BlockClass::Private);
     fillSet(s, 8, 8, BlockClass::Shared);
     ShadowTagPolicy p(1, 16, 4, 8);

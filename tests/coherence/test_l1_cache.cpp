@@ -94,5 +94,58 @@ TEST_F(L1Fixture, DifferentSetsDontConflict)
     EXPECT_EQ(l1.population(), 100u);
 }
 
+/** L1 geometries beyond Table 2's 4 ways: every way of a set holds a
+ *  block, LRU order holds across all of them, and the array survives a
+ *  snapshot round trip. */
+class WideL1 : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    SystemConfig
+    config() const
+    {
+        SystemConfig cfg;
+        cfg.l1Ways = GetParam();
+        return cfg;
+    }
+};
+
+TEST_P(WideL1, EveryWayHoldsABlockBeforeLruEviction)
+{
+    const SystemConfig cfg = config();
+    ASSERT_TRUE(cfg.valid());
+    L1Cache l1(cfg);
+    const std::uint32_t ways = cfg.l1Ways;
+    const Addr stride = static_cast<Addr>(cfg.l1Sets()) * cfg.blockBytes;
+    for (std::uint32_t i = 0; i < ways; ++i)
+        EXPECT_FALSE(l1.fill(0x1000 + i * stride, i % 2 == 0, false).valid);
+    EXPECT_EQ(l1.population(), ways);
+    // Touch the oldest block: the second-oldest becomes the LRU.
+    l1.touch(0x1000, l1.lookup(0x1000));
+    const BlockMeta evicted = l1.fill(0x1000 + ways * stride, false, false);
+    ASSERT_TRUE(evicted.valid);
+    EXPECT_EQ(evicted.addr, 0x1000u + stride);
+    EXPECT_FALSE(evicted.dirty);
+    EXPECT_EQ(l1.population(), ways);
+    const int last = l1.lookup(0x1000 + (ways - 2) * stride);
+    ASSERT_NE(last, kNoWay);
+    EXPECT_EQ(l1.meta(0x1000 + (ways - 2) * stride, last).dirty, true);
+
+    SnapshotWriter w;
+    l1.save(w);
+    L1Cache copy(cfg);
+    SnapshotReader r(w.bytes());
+    copy.load(r);
+    EXPECT_NO_THROW(r.finish());
+    EXPECT_EQ(copy.population(), ways);
+    for (std::uint32_t i = 0; i <= ways; ++i)
+        EXPECT_EQ(copy.lookup(0x1000 + i * stride),
+                  l1.lookup(0x1000 + i * stride));
+    SnapshotWriter again;
+    copy.save(again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(L1Ways, WideL1, ::testing::Values(8u, 16u));
+
 } // namespace
 } // namespace espnuca

@@ -23,7 +23,8 @@ namespace {
 
 TEST(CacheSetFault, DisabledWaysAreNeverAllocated)
 {
-    CacheSet set(4);
+    SetArray set_sets(1, 4);
+    CacheSet &set = set_sets[0];
     set.disableWays(0x3); // ways 0 and 1
     EXPECT_TRUE(set.wayDisabled(0));
     EXPECT_TRUE(set.wayDisabled(1));
@@ -46,7 +47,8 @@ TEST(CacheSetFault, DisabledWaysAreNeverAllocated)
 
 TEST(CacheSetFault, MaskIsClampedToWayCount)
 {
-    CacheSet set(4);
+    SetArray set_sets(1, 4);
+    CacheSet &set = set_sets[0];
     set.disableWays(~std::uint64_t{0} << 2); // high bits ignored
     EXPECT_EQ(set.enabledWays(), 2u);
     EXPECT_EQ(set.invalidWay(), 0);

@@ -6,7 +6,8 @@
  * full per-component stats dump — byte-identical to the same phased
  * run executed cold, and a checkpoint must never be accepted for a
  * run with a different identity. The directory's own save() bytes are
- * pinned to digests of the pre-split layout.
+ * pinned to digests of the pre-split layout, and the cache arrays'
+ * save() bytes to digests of the fixed-capacity set layout.
  */
 
 #include <gtest/gtest.h>
@@ -222,6 +223,108 @@ TEST(DirectorySnapshotLayout, Tiled32CoreApacheMatchesInlineLayout)
     cfg.memControllers = 4;
     cfg.placement = "tiled";
     EXPECT_EQ(dirSaveDigest(cfg, "apache", 3'000), 0x987fc2e67a34b6c7ULL);
+}
+
+// -- Cache-array snapshot bytes pinned against the fixed-capacity layout -
+// The digests were taken from sets that stored 16 inline ways whatever
+// their associativity and kept a full BlockMeta copy per way; sets sized
+// to their ways, whose address/valid/class live only in the tags and
+// masks, must reproduce those save() bytes exactly.
+
+/** FNV-1a digests of every L2 bank's and every L1's save(). */
+struct CacheArrayDigests
+{
+    std::uint64_t banks = 0;
+    std::uint64_t l1s = 0;
+};
+
+CacheArrayDigests
+cacheSaveDigests(const SystemConfig &cfg, std::uint64_t ops_per_core)
+{
+    System sys(cfg, "esp-nuca", makeWorkload("apache", cfg, ops_per_core, 1),
+               1, /*warmup=*/0.0);
+    sys.run();
+    SnapshotWriter banks;
+    for (BankId b = 0; b < sys.org().numBanks(); ++b)
+        sys.org().bank(b).save(banks);
+    SnapshotWriter l1s;
+    for (L1Id id = 0; id < 2 * cfg.numCores; ++id)
+        sys.protocol().l1(id).save(l1s);
+    return {fnv1a(banks.bytes()), fnv1a(l1s.bytes())};
+}
+
+TEST(CacheArraySnapshotLayout, Paper8CoreApacheMatchesInlineLayout)
+{
+    const CacheArrayDigests d = cacheSaveDigests(SystemConfig{}, 20'000);
+    EXPECT_EQ(d.banks, 0x199a5c1340f567aeULL);
+    EXPECT_EQ(d.l1s, 0x401cf53003c86a46ULL);
+}
+
+TEST(CacheArraySnapshotLayout, Tiled32CoreApacheMatchesInlineLayout)
+{
+    SystemConfig cfg;
+    cfg.numCores = 32;
+    cfg.l2Banks = 128;
+    cfg.l2SizeBytes = 32ULL * 1024 * 1024;
+    cfg.memControllers = 4;
+    cfg.placement = "tiled";
+    const CacheArrayDigests d = cacheSaveDigests(cfg, 3'000);
+    EXPECT_EQ(d.banks, 0x89294d003dc95a9eULL);
+    EXPECT_EQ(d.l1s, 0xfd2a7b2d67efd610ULL);
+}
+
+TEST(CacheArraySnapshotLayout, WayBytesContradictingTagsAreRejected)
+{
+    // A 2-way set holding one valid Shared block in way 0. Its save()
+    // is the way count and the masks (u32 + 6 x u64 + 2 x i64: the
+    // valid mask, four class masks, the disabled mask, hi and lo), then
+    // per way: tag, stamp, addr, valid, dirty, cls, owner, owner-token,
+    // hits. The addr/valid/cls bytes repeat what the tag and masks say.
+    SetArray s_sets(1, 2);
+    CacheSet &s = s_sets[0];
+    BlockMeta m;
+    m.addr = 0x1c0;
+    m.valid = true;
+    m.cls = BlockClass::Shared;
+    m.owner = 3;
+    s.assign(0, m);
+    s.touch(0);
+    SnapshotWriter w;
+    s.save(w);
+    const std::string good = w.bytes();
+    {
+        SetArray t_sets(1, 2);
+        CacheSet &t = t_sets[0];
+        SnapshotReader r(good);
+        EXPECT_NO_THROW(t.load(r));
+        EXPECT_EQ(t.way(0).addr, 0x1c0u);
+        EXPECT_EQ(t.way(0).cls, BlockClass::Shared);
+        EXPECT_EQ(t.way(0).owner, 3u);
+    }
+    constexpr std::size_t kWay0 = 4 + 6 * 8 + 2 * 8;
+    constexpr std::size_t kWay1 = kWay0 + 8 + 8 + 8 + 1 + 1 + 1 + 4 + 1 + 1;
+    constexpr std::size_t kAddr = 16; // after tag and stamp
+    constexpr std::size_t kValid = kAddr + 8;
+    constexpr std::size_t kCls = kValid + 2; // after valid and dirty
+    auto rejects = [&](std::size_t at, char value) {
+        std::string bad = good;
+        bad[at] = value;
+        SetArray t_sets(1, 2);
+        CacheSet &t = t_sets[0];
+        SnapshotReader r(bad);
+        EXPECT_THROW(t.load(r), SnapshotError) << "byte " << at;
+    };
+    // Way 0 (valid): address differs from the tag, valid byte clear,
+    // class differs from the class masks.
+    rejects(kWay0 + kAddr, 0x00);
+    rejects(kWay0 + kValid, 0);
+    rejects(kWay0 + kCls, static_cast<char>(BlockClass::Victim));
+    // Way 1 (invalid): an address, a valid byte, a class.
+    rejects(kWay1 + kAddr, 0x40);
+    rejects(kWay1 + kValid, 1);
+    rejects(kWay1 + kCls, static_cast<char>(BlockClass::Replica));
+    // The valid mask names a way that no class mask holds.
+    rejects(4, 0x03);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Geometry robustness: the whole stack (mapping, protocol, monitor,
  * architectures) must work for CMP configurations other than Table 2 —
- * different core counts, bank counts, capacities and associativities.
+ * different core counts, bank counts, capacities and associativities
+ * (L2 and L1).
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +95,26 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{16, 32, 8, 16}, // 16-core CMP
                       Geometry{8, 64, 16, 16}) // big L2
 );
+
+/** Table 2 with a wider L1: the whole stack runs and drains. */
+class WideL1Geometry : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(WideL1Geometry, EspNucaRunsAndDrains)
+{
+    SystemConfig cfg;
+    cfg.l1Ways = GetParam();
+    ASSERT_TRUE(cfg.valid());
+    const Workload wl = makeWorkload("apache", cfg, 2'000, 1);
+    System sys(cfg, "esp-nuca", wl, 1);
+    const RunResult r = sys.run();
+    EXPECT_GT(r.throughput, 0.0);
+    EXPECT_EQ(sys.protocol().inFlight(), 0u);
+    EXPECT_GT(sys.protocol().l1(0).population(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(L1Ways, WideL1Geometry, ::testing::Values(8u, 16u));
 
 TEST(GeometryEdge, SixteenCoreTopologyIsTaller)
 {

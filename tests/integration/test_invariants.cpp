@@ -49,7 +49,7 @@ checkConsistency(System &sys, const SystemConfig &cfg)
         CacheBank &bank = org.bank(b);
         for (std::uint32_t s = 0; s < bank.numSets(); ++s) {
             for (std::uint32_t w = 0; w < cfg.l2Ways; ++w) {
-                const BlockMeta &m = bank.set(s).way(static_cast<int>(w));
+                const BlockMeta m = bank.set(s).way(static_cast<int>(w));
                 if (!m.valid)
                     continue;
                 const BlockInfo *e = proto.dir().find(m.addr);

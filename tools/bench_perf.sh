@@ -56,9 +56,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_core.json}"
+# Build parallelism: a bare -j lets make start one compiler per ready
+# object, which can exhaust a small host's memory. Same cap as
+# perfbench/run.py: min(4, nproc).
+JOBS=$(nproc)
+if [ "$JOBS" -gt 4 ]; then JOBS=4; fi
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build build-release -j --target micro_components \
+cmake --build build-release -j "$JOBS" --target micro_components \
     micro_protocol fig07_onchip_offchip > /dev/null
 
 echo "== bench_perf: micro_components (event kernel, maps, mesh fan-out) =="
@@ -72,7 +77,7 @@ MICRO_JSON=$(mktemp)
 echo "== bench_perf: event kernel with ESPNUCA_OBS=OFF =="
 cmake -B build-obsoff -S . -DCMAKE_BUILD_TYPE=Release \
     -DESPNUCA_OBS=OFF > /dev/null
-cmake --build build-obsoff -j --target micro_components > /dev/null
+cmake --build build-obsoff -j "$JOBS" --target micro_components > /dev/null
 OBSOFF_JSON=$(mktemp)
 ./build-obsoff/bench/micro_components \
     --benchmark_filter='EventKernelWheel' \
@@ -90,7 +95,7 @@ PROTO_JSON=$(mktemp)
 echo "== bench_perf: micro_protocol with ESPNUCA_AUDIT=ON =="
 cmake -B build-auditon -S . -DCMAKE_BUILD_TYPE=Release \
     -DESPNUCA_AUDIT=ON > /dev/null
-cmake --build build-auditon -j --target micro_protocol > /dev/null
+cmake --build build-auditon -j "$JOBS" --target micro_protocol > /dev/null
 AUDITON_JSON=$(mktemp)
 ./build-auditon/bench/micro_protocol \
     --benchmark_filter='Snuca' \
@@ -112,7 +117,7 @@ FIG07_START=$(date +%s.%N)
 FIG07_END=$(date +%s.%N)
 
 echo "== bench_perf: sharded sweep (2 shards + merge, byte compare) =="
-cmake --build build-release -j --target espnuca-sim espnuca-merge \
+cmake --build build-release -j "$JOBS" --target espnuca-sim espnuca-merge \
     espnuca-report > /dev/null
 SWEEP_DIR=$(mktemp -d)
 sweep_fig07() {
