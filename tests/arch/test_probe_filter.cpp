@@ -40,8 +40,10 @@ machine(bool tiled32)
 }
 #endif
 
+// std::string, not const char *: gtest prints a tuple's char pointer by
+// address, and the discovered test name would change with every run.
 class ProbeFilter
-    : public ::testing::TestWithParam<std::tuple<const char *, bool, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool, bool>>
 {
 };
 
@@ -65,8 +67,9 @@ TEST_P(ProbeFilter, FilteredProbesAreExactMisses)
 
 INSTANTIATE_TEST_SUITE_P(
     SpFamily, ProbeFilter,
-    ::testing::Combine(::testing::Values("sp-nuca", "esp-nuca",
-                                         "sp-nuca-shadow"),
+    ::testing::Combine(::testing::Values(std::string("sp-nuca"),
+                                         std::string("esp-nuca"),
+                                         std::string("sp-nuca-shadow")),
                        ::testing::Bool(), ::testing::Bool()),
     [](const auto &info) {
         std::string name = std::get<0>(info.param);
